@@ -11,8 +11,6 @@ comparable curve even when every p-value underflows.
 
 import math
 
-import numpy as np
-
 from cpjoint import fisher_combine_log, normal_log_sf, normal_sf
 
 print("score   1 - Phi(score)      log(1 - Phi(score))")
@@ -27,11 +25,6 @@ print(f"  their p-values both print as {normal_sf(z1):.2e} and {normal_sf(z2):.2
 print("  clamped at the smallest positive double, yet their logs differ cleanly:")
 print(f"  log p1 = {lp1:.2f},  log p2 = {lp2:.2f}")
 print(f"  fused statistic from logs: {fisher_combine_log(lp1, lp2):.2f}")
-print()
-
-print("the tail switch is seamless: log survival across the x = 8 boundary")
-for x in np.linspace(7.96, 8.04, 9):
-    print(f"  x={x:5.2f}  log_sf={normal_log_sf(float(x)):.12f}")
 print()
 
 x = 10.0

@@ -43,7 +43,6 @@ from .tails import (
     normal_sf,
     skewed_log_sf,
 )
-from .naive import naive_cov_stat, naive_mean_stat, naive_trace_sq
 from .pipeline import (
     BaselineOutcome,
     LocalizationOutcome,
@@ -118,9 +117,6 @@ __all__ = [
     "mean_coefficients",
     "mean_stat_curve",
     "mix_seed",
-    "naive_cov_stat",
-    "naive_mean_stat",
-    "naive_trace_sq",
     "normal_log_sf",
     "normal_sf",
     "run_experiment",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -73,17 +74,6 @@ def read_matrix_csv(path: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def write_matrix_csv(path: str, matrix, header: Optional[Sequence[str]] = None) -> None:
-    """Dump a matrix as CSV with shortest round-trip float formatting."""
-    arr = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        if header is not None:
-            writer.writerow(header)
-        for row in arr:
-            writer.writerow([repr(float(v)) for v in row])
-
-
 def _emit_json(payload: dict, stream) -> None:
     json.dump(payload, stream, indent=2)
     stream.write("\n")
@@ -132,21 +122,7 @@ def _cmd_detect(args) -> dict:
         },
         "n": data.n,
         "p": data.p,
-        "m_n": outcome.m_n,
-        "v_n": outcome.v_n,
-        "trace_hat": outcome.trace_hat,
-        "sigma1_sq": outcome.sigma1_sq,
-        "sigma2_sq": outcome.sigma2_sq,
-        "z_mean": outcome.z_mean,
-        "z_cov": outcome.z_cov,
-        "p_mean": outcome.p_mean,
-        "p_cov": outcome.p_cov,
-        "log_p_mean": outcome.log_p_mean,
-        "log_p_cov": outcome.log_p_cov,
-        "t_n": outcome.t_n,
-        "p_combined": outcome.p_combined,
-        "alpha": outcome.alpha,
-        "reject": outcome.reject,
+        **dataclasses.asdict(outcome),
     }
 
 

@@ -40,10 +40,14 @@ from .scale import (
     trace_sigma2_hat,
     trace_sigma3_hat,
 )
-from .tails import chi2_4_sf, fisher_combine_log, normal_log_sf, skewed_log_sf
-
-_TINY = np.nextafter(0.0, 1.0)
-_BELOW_ONE = np.nextafter(1.0, 0.0)
+from .tails import (
+    TINY,
+    chi2_4_sf,
+    clamp_prob,
+    fisher_combine_log,
+    normal_log_sf,
+    skewed_log_sf,
+)
 
 _CALIBRATIONS = ("plug_in", "finite_sample")
 
@@ -116,10 +120,6 @@ def _as_dataset(data) -> Dataset:
     return data if isinstance(data, Dataset) else dataset_from_matrix(data)
 
 
-def _clamp_prob(p: float) -> float:
-    return min(max(p, _TINY), _BELOW_ONE)
-
-
 def _check_calibration(calibration: str) -> None:
     if calibration not in _CALIBRATIONS:
         raise BadParamError(
@@ -143,7 +143,7 @@ def _analyze(data: Dataset, calibration: str = "plug_in") -> _Analysis:
     log_p_cov = normal_log_sf(z_cov)
     t_n = fisher_combine_log(log_p_mean, log_p_cov)
     # p_combined lives in (0, 1]: exactly 1 at t_n = 0, never exactly 0.
-    p_combined = max(chi2_4_sf(t_n), _TINY)
+    p_combined = max(chi2_4_sf(t_n), TINY)
     return _Analysis(
         data.n, data.p, mean_result, cov_result, calib,
         z_mean, z_cov, log_p_mean, log_p_cov, t_n, p_combined,
@@ -164,8 +164,8 @@ def _outcome_from_analysis(a: _Analysis, alpha: float) -> TestOutcome:
         sigma2_sq=a.calibration.sigma2_sq,
         z_mean=a.z_mean,
         z_cov=a.z_cov,
-        p_mean=_clamp_prob(math.exp(a.log_p_mean)),
-        p_cov=_clamp_prob(math.exp(a.log_p_cov)),
+        p_mean=clamp_prob(math.exp(a.log_p_mean)),
+        p_cov=clamp_prob(math.exp(a.log_p_cov)),
         log_p_mean=a.log_p_mean,
         log_p_cov=a.log_p_cov,
         t_n=a.t_n,
@@ -252,6 +252,26 @@ def localize(data, lam: float = 0.2) -> LocalizationOutcome:
     )
 
 
+def _decide(a: _Analysis, alpha: float, lam: float) -> list[BaselineOutcome]:
+    """The four decision rules of :func:`baselines`, in the order of :class:`Method`."""
+    prof = _profiles(a, lam)
+    log_alpha = math.log(alpha)
+    tau_mean = _argmax_tau(prof.taus, prof.mean_term)
+    tau_cov = _argmax_tau(prof.taus, prof.cov_term)
+    return [
+        BaselineOutcome(
+            Method.FISHER, a.p_combined <= alpha, _argmax_tau(prof.taus, prof.fused)
+        ),
+        BaselineOutcome(
+            Method.BONFERRONI,
+            min(a.log_p_mean, a.log_p_cov) <= log_alpha - math.log(2.0),
+            _pick_min_p(a.log_p_mean, a.log_p_cov, tau_mean, tau_cov),
+        ),
+        BaselineOutcome(Method.MEAN_ONLY, a.log_p_mean <= log_alpha, tau_mean),
+        BaselineOutcome(Method.COV_ONLY, a.log_p_cov <= log_alpha, tau_cov),
+    ]
+
+
 def baselines(
     data, alpha: float = 0.05, lam: float = 0.2, calibration: str = "plug_in"
 ) -> list[BaselineOutcome]:
@@ -264,22 +284,4 @@ def baselines(
     ``calibration`` is as in :func:`detect`.
     """
     _check_alpha(alpha)
-    a = _analyze(_as_dataset(data), calibration)
-    prof = _profiles(a, lam)
-    log_alpha = math.log(alpha)
-
-    tau_fused = _argmax_tau(prof.taus, prof.fused)
-    tau_mean = _argmax_tau(prof.taus, prof.mean_term)
-    tau_cov = _argmax_tau(prof.taus, prof.cov_term)
-    tau_minp = _pick_min_p(a.log_p_mean, a.log_p_cov, tau_mean, tau_cov)
-
-    return [
-        BaselineOutcome(Method.FISHER, a.p_combined <= alpha, tau_fused),
-        BaselineOutcome(
-            Method.BONFERRONI,
-            min(a.log_p_mean, a.log_p_cov) <= log_alpha - math.log(2.0),
-            tau_minp,
-        ),
-        BaselineOutcome(Method.MEAN_ONLY, a.log_p_mean <= log_alpha, tau_mean),
-        BaselineOutcome(Method.COV_ONLY, a.log_p_cov <= log_alpha, tau_cov),
-    ]
+    return _decide(_analyze(_as_dataset(data), calibration), alpha, lam)

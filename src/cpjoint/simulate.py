@@ -24,14 +24,7 @@ import numpy as np
 
 from .data import Dataset, dataset_from_matrix
 from .errors import BadParamError, NotPSDError, NotSymmetricError
-from .pipeline import (
-    Method,
-    _analyze,
-    _argmax_tau,
-    _check_calibration,
-    _pick_min_p,
-    _profiles,
-)
+from .pipeline import Method, _analyze, _check_calibration, _decide
 
 _MASK64 = (1 << 64) - 1
 
@@ -219,26 +212,10 @@ def _one_rep(args) -> tuple:
     model, rep, alpha, lam, calibration = args
     data = gen_dataset(replace(model, seed=mix_seed(model.seed, rep)))
     a = _analyze(data, calibration)
-    prof = _profiles(a, lam)
-    log_alpha = math.log(alpha)
-    rejects = (
-        a.p_combined <= alpha,
-        min(a.log_p_mean, a.log_p_cov) <= log_alpha - math.log(2.0),
-        a.log_p_mean <= log_alpha,
-        a.log_p_cov <= log_alpha,
-    )
-    tau_mean = _argmax_tau(prof.taus, prof.mean_term)
-    tau_cov = _argmax_tau(prof.taus, prof.cov_term)
-    tau_hats = (
-        _argmax_tau(prof.taus, prof.fused),
-        _pick_min_p(a.log_p_mean, a.log_p_cov, tau_mean, tau_cov),
-        tau_mean,
-        tau_cov,
-    )
+    decisions = _decide(a, alpha, lam)
+    rejects = tuple(d.reject for d in decisions)
+    tau_hats = tuple(d.tau_hat for d in decisions)
     return rejects, tau_hats, a.z_mean, a.z_cov, a.t_n
-
-
-_METHOD_ORDER = (Method.FISHER, Method.BONFERRONI, Method.MEAN_ONLY, Method.COV_ONLY)
 
 
 def run_experiment(
@@ -281,7 +258,7 @@ def run_experiment(
     t_n = np.array([r[4] for r in results])
 
     methods: dict[str, MethodResult] = {}
-    for col, method in enumerate(_METHOD_ORDER):
+    for col, method in enumerate(Method):
         rate = float(rejects[:, col].mean())
         stderr = math.sqrt(rate * (1.0 - rate) / reps)
         mae = None

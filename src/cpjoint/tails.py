@@ -3,8 +3,9 @@
 Detection statistics can be standardized scores far beyond 38, where the
 plain normal survival function underflows to 0 and its logarithm to -inf.
 Everything here is therefore built so callers can stay in log space:
-``normal_log_sf`` is finite for every representable input, and the
-combiner has an entry point that consumes log p-values directly.
+``normal_log_sf`` stays finite until the log tail itself leaves the
+double range, and the combiner has an entry point that consumes log
+p-values directly.
 ``skewed_log_sf`` is the finite-sample counterpart for a skewed score,
 finite in the same way.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc, gammainc, gammaincc, gammaln
+from scipy.special import chdtri, gammainc, gammaincc, gammaln, log_ndtr, ndtr
 
 from .errors import (
     AlphaRangeError,
@@ -23,15 +24,9 @@ from .errors import (
     PValueRangeError,
 )
 
-_SQRT2 = math.sqrt(2.0)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-# Above this point the upper tail is evaluated through an asymptotic
-# expansion of the reciprocal Mill's ratio instead of erfc.
-_TAIL_SWITCH = 8.0
-
-_TINY = np.nextafter(0.0, 1.0)     # smallest positive double
-_BELOW_ONE = np.nextafter(1.0, 0.0)
+#: The open interval (0, 1) every displayed probability is clamped into.
+TINY = math.ulp(0.0)                # smallest positive double
+BELOW_ONE = math.nextafter(1.0, 0.0)
 
 # Below this upper incomplete gamma value its logarithm comes from the
 # continued fraction instead, before the value loses precision to underflow.
@@ -39,58 +34,9 @@ _GAMMA_TAIL_SWITCH = 1e-300
 _CF_FLOOR = 1e-300
 
 
-def _scaled_upper_tail(x: np.ndarray) -> np.ndarray:
-    """The factor s(x) = x * (1 - Phi(x)) / phi(x) for large positive x.
-
-    Asymptotic series 1 - 1/x^2 + 3/x^4 - 15/x^6 + ...; terms are added
-    while they keep shrinking, which for x > 8 reaches full double
-    precision well before the series turns divergent.  The true value
-    lies in (x^2 / (1 + x^2), 1), the classical Mill's-ratio bracket.
-    """
-    inv_x2 = 1.0 / (x * x)
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    prev_mag = np.full_like(x, np.inf)
-    active = np.ones(x.shape, dtype=bool)
-    for k in range(1, 64):
-        term = term * (-(2.0 * k - 1.0)) * inv_x2
-        mag = np.abs(term)
-        active &= mag < prev_mag
-        if not active.any():
-            break
-        total = np.where(active, total + term, total)
-        prev_mag = mag
-        if mag[active].max() < 1e-17:
-            break
-    return total
-
-
-def _log_sf_nonneg(x: np.ndarray) -> np.ndarray:
-    """log(1 - Phi(x)) for x >= 0."""
-    out = np.empty_like(x)
-    bulk = x <= _TAIL_SWITCH
-    if bulk.any():
-        out[bulk] = np.log(0.5 * erfc(x[bulk] / _SQRT2))
-    tail = ~bulk
-    if tail.any():
-        xt = x[tail]
-        out[tail] = (
-            -0.5 * xt * xt - np.log(xt) - _LOG_SQRT_2PI
-            + np.log(_scaled_upper_tail(xt))
-        )
-    return out
-
-
-def _sf_nonneg(x: np.ndarray) -> np.ndarray:
-    """1 - Phi(x) for x >= 0, clamped into (0, 1)."""
-    out = np.empty_like(x)
-    bulk = x <= _TAIL_SWITCH
-    if bulk.any():
-        out[bulk] = 0.5 * erfc(x[bulk] / _SQRT2)
-    tail = ~bulk
-    if tail.any():
-        out[tail] = np.exp(_log_sf_nonneg(x[tail]))
-    return np.maximum(out, _TINY)
+def clamp_prob(p: float) -> float:
+    """``p`` moved into the open interval (0, 1), as a Python float."""
+    return min(max(float(p), TINY), BELOW_ONE)
 
 
 def _validate_finite(x) -> np.ndarray:
@@ -103,42 +49,26 @@ def _validate_finite(x) -> np.ndarray:
 def normal_sf(x):
     """Upper tail 1 - Phi(x) of the standard normal, always inside (0, 1).
 
-    Relative accuracy is a few ulps for |x| <= 8; beyond that the value
-    follows the asymptotic tail evaluation and is clamped away from
-    exact 0 and 1.  Accepts scalars or arrays.
+    scipy's ``ndtr(-x)``, accurate to a few ulps while the value is a
+    normal double, clamped away from exact 0 and 1.  From x of about 37.7
+    on, where the exact tail is below 6e-311, ``ndtr`` returns 0 and the
+    result is the smallest positive double; ``normal_log_sf`` stays exact
+    there.  Accepts scalars or arrays.
     """
-    arr = _validate_finite(x)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    if pos.any():
-        out[pos] = _sf_nonneg(arr[pos])
-    neg = ~pos
-    if neg.any():
-        out[neg] = np.minimum(1.0 - _sf_nonneg(-arr[neg]), _BELOW_ONE)
-    return float(out[0]) if scalar else out
+    out = np.clip(ndtr(-_validate_finite(x)), TINY, BELOW_ONE)
+    return float(out) if out.ndim == 0 else out
 
 
 def normal_log_sf(x):
-    """log(1 - Phi(x)), finite for every finite x.
+    """log(1 - Phi(x)), from scipy's ``log_ndtr(-x)``.
 
-    Matches log(normal_sf(x)) to full precision for x <= 8 and switches
-    to the Mill's-ratio asymptotic expansion above, so scores in the
-    hundreds still produce a usable log tail.  Accepts scalars or arrays.
+    Accurate to a few ulps and finite up to x of about 1.9e154, so scores
+    in the hundreds still produce a usable log tail.  Beyond that the true
+    value, about -x^2 / 2, is below -DBL_MAX and the correctly rounded
+    result -inf is returned, without a warning.  Accepts scalars or arrays.
     """
-    arr = _validate_finite(x)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    if pos.any():
-        out[pos] = _log_sf_nonneg(arr[pos])
-    neg = ~pos
-    if neg.any():
-        # 1 - Phi(x) = 1 - (1 - Phi(-x)) is close to 1; log1p keeps precision.
-        out[neg] = np.log1p(-_sf_nonneg(-arr[neg]))
-    return float(out[0]) if scalar else out
+    out = log_ndtr(-_validate_finite(x))
+    return float(out) if out.ndim == 0 else out
 
 
 def _log_gammaincc_cf(a: float, x: np.ndarray) -> np.ndarray:
@@ -240,29 +170,7 @@ def chi2_4_sf(t: float) -> float:
 
 
 def chi2_4_quantile(alpha: float) -> float:
-    """The t with chi2_4_sf(t) = alpha, by safeguarded Newton iteration.
-
-    Starts from -2 log(alpha) and keeps a bisection bracket so the
-    iteration cannot escape; converges to |sf(t) - alpha| <= 1e-12.
-    """
+    """The t with chi2_4_sf(t) = alpha, from scipy's ``chdtri``."""
     if not (0.0 < alpha < 1.0):
         raise AlphaRangeError(f"alpha={alpha} not strictly inside (0, 1)")
-    lo, hi = 0.0, max(-8.0 * math.log(alpha), 50.0)
-    while chi2_4_sf(hi) > alpha:
-        hi *= 2.0
-    t = min(-2.0 * math.log(alpha), hi)
-    for _ in range(200):
-        f = chi2_4_sf(t) - alpha
-        if f > 0.0:
-            lo = t
-        else:
-            hi = t
-        deriv = -0.25 * t * math.exp(-0.5 * t)  # d/dt of the survival
-        t_new = t - f / deriv if deriv != 0.0 else 0.5 * (lo + hi)
-        if not lo < t_new < hi:
-            t_new = 0.5 * (lo + hi)
-        converged = abs(t_new - t) <= 1e-13 * max(1.0, t) and abs(f) <= 1e-12
-        t = t_new
-        if converged:
-            break
-    return t
+    return float(chdtri(4, alpha))

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import as_matrix
-from .errors import NotSymmetricError, TauRangeError
+from cpjoint.data import as_matrix
+from cpjoint.errors import NotSymmetricError, TauRangeError
 
 _MAX_N_MEAN = 24
 _MAX_N_COV = 16

@@ -7,7 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from cpjoint.cli import main, read_matrix_csv, write_matrix_csv
+from cpjoint import baselines, detect
+from cpjoint.cli import main, read_matrix_csv
+
+
+def write_matrix_csv(path, matrix):
+    """Dump a matrix as CSV with shortest round-trip float formatting."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        for row in np.asarray(matrix, dtype=np.float64):
+            writer.writerow([repr(float(v)) for v in row])
 
 
 def _write_rows(path, rows):
@@ -74,6 +83,18 @@ class TestDetectCommand:
     def test_exit_zero_even_when_rejecting(self, tmp_path, capsys):
         path = str(tmp_path / "shift.csv")
         write_matrix_csv(path, _sample_matrix(n=80, p=5, shift_at=40))
+        assert main(["detect", path]) == 0
+        assert json.loads(capsys.readouterr().out)["reject"] is True
+
+    def test_json_report_when_combined_p_underflows(self, tmp_path, capsys):
+        x = np.random.default_rng(1).standard_normal((200, 20))
+        x[100:] += 3.0
+        outcome = detect(x)
+        assert outcome.p_combined == math.ulp(0.0)
+        assert type(outcome.reject) is bool
+        assert all(type(d.reject) is bool for d in baselines(x))
+        path = str(tmp_path / "underflow.csv")
+        write_matrix_csv(path, x)
         assert main(["detect", path]) == 0
         assert json.loads(capsys.readouterr().out)["reject"] is True
 

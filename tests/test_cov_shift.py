@@ -9,10 +9,10 @@ from cpjoint import (
     SampleTooSmallError,
     cov_stat_curve,
     gram,
-    naive_cov_stat,
 )
 from cpjoint.cov_shift import _sweep_terms
 from conftest import random_orthogonal, rel_err
+from naive import naive_cov_stat
 
 
 def brute_force_terms(g, tau):

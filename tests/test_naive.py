@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from cpjoint import (
-    NotSymmetricError,
-    TauRangeError,
-    naive_cov_stat,
-    naive_mean_stat,
-    naive_trace_sq,
-)
+from cpjoint import NotSymmetricError, TauRangeError
+from naive import naive_cov_stat, naive_mean_stat, naive_trace_sq
 
 
 class TestNaiveMean:

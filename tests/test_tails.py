@@ -5,6 +5,7 @@ digits through 0.5 * erfc(x / sqrt(2)) and its logarithm.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,15 @@ class TestNormalLogSf:
     def test_non_finite_input(self):
         with pytest.raises(NonFiniteValueError):
             normal_log_sf(np.nan)
+
+    def test_huge_scores_without_warning(self):
+        # -x^2 / 2 leaves the double range near x = 1.9e154: -inf is then
+        # the correctly rounded value.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(normal_log_sf(1e154))
+            assert normal_log_sf(1e200) == -math.inf
+            assert normal_log_sf(1e300) == -math.inf
 
 
 def _chi2_log_sf_oracle(z, skew):
@@ -243,6 +253,10 @@ class TestChi2Four:
 
     def test_quantile_near_one(self):
         assert 0.0 < chi2_4_quantile(1.0 - 1e-9) < 1e-3
+        # The mpmath root of chi2_4_sf(t) = alpha at the double alpha = 1 - 1e-9.
+        assert chi2_4_quantile(1.0 - 1e-9) == pytest.approx(
+            8.9444051195811133e-05, rel=1e-12
+        )
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.5])
     def test_survival_roundtrip(self, alpha):
