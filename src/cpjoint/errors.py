@@ -34,7 +34,7 @@ class AlphaRangeError(CpjointError, ValueError):
 
 
 class DegenerateScaleError(CpjointError, ValueError):
-    """The data carry no usable variation, so calibration is impossible."""
+    """The data carry no usable variation, or their scale leaves the double range."""
 
 
 class EmptyGridError(CpjointError, ValueError):

@@ -30,8 +30,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .cov_shift import CovStatResult, cov_stat_curve
-from .data import Dataset, StatCurve, dataset_from_matrix, gram
-from .errors import AlphaRangeError, BadParamError, DegenerateScaleError, EmptyGridError
+from .data import Dataset, StatCurve, dataset_from_matrix
+from .errors import (
+    AlphaRangeError,
+    BadParamError,
+    DegenerateScaleError,
+    EmptyGridError,
+    NonFiniteValueError,
+)
 from .mean_shift import MeanStatResult, mean_stat_curve
 from .scale import (
     Calibration,
@@ -127,12 +133,25 @@ def _check_calibration(calibration: str) -> None:
         )
 
 
+def _statistics(data: Dataset) -> tuple[Calibration, MeanStatResult, CovStatResult]:
+    """The calibration and both curves, with overflow reported as a data-scale error."""
+    try:
+        # The statistics are quartic and their null variances octic in the
+        # data, so extreme magnitudes overflow: name the scale, do not warn.
+        # The data are finite, so a non-finite curve is an overflow too.
+        with np.errstate(over="raise", invalid="raise"):
+            calib = calibrate(trace_sigma2_hat(data), data.n)
+            return calib, mean_stat_curve(data), cov_stat_curve(data)
+    except (FloatingPointError, NonFiniteValueError):
+        raise DegenerateScaleError(
+            f"data scale out of range: entries up to {np.abs(data.values).max():.3g} "
+            "overflow the fourth and eighth powers the statistics need; rescale the data"
+        ) from None
+
+
 def _analyze(data: Dataset, calibration: str = "plug_in") -> _Analysis:
     _check_calibration(calibration)
-    g = gram(data)
-    mean_result = mean_stat_curve(data)
-    cov_result = cov_stat_curve(data, g)
-    calib = calibrate(trace_sigma2_hat(data), data.n)
+    calib, mean_result, cov_result = _statistics(data)
     z_mean = mean_result.aggregate / math.sqrt(calib.sigma1_sq)
     z_cov = cov_result.aggregate / math.sqrt(calib.sigma2_sq)
     if calibration == "finite_sample":
@@ -179,7 +198,9 @@ def detect(data, alpha: float = 0.05, calibration: str = "plug_in") -> TestOutco
     """Test for a simultaneous mean/covariance change at level alpha.
 
     Deterministic in the data.  Raises DegenerateScaleError when the data
-    carry no variation to calibrate against.  ``calibration="finite_sample"``
+    carry no variation to calibrate against, or when their scale pushes the
+    statistics or null variances out of the double range (the message names
+    the scale).  ``calibration="finite_sample"``
     takes the mean side's p-value from the skew-matched chi-squared tail
     instead of the normal one (see the module docstring).
     """

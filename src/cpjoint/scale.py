@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,15 +108,25 @@ def calibrate(trace_hat: float, n: int) -> Calibration:
 
     Raises DegenerateScaleError when trace_hat is not strictly positive:
     with no usable variation the z-scores would be fabricated, so the
-    pipeline refuses instead of clamping.
+    pipeline refuses instead of clamping.  It raises the same error when
+    the covariance side's null variance, which grows with the eighth power
+    of the data scale, leaves the range of normal doubles.
     """
-    if not (trace_hat > 0.0 and math.isfinite(trace_hat)):
+    if trace_hat <= 0.0:
         raise DegenerateScaleError(
-            f"estimated tr(Sigma^2) = {trace_hat}; data carry no usable variation"
+            f"estimated tr(Sigma^2) = {trace_hat}; data carry no usable variation "
+            "(constant rows, or a data scale whose fourth powers underflow)"
         )
     n_sq = float(n) * float(n)
+    sigma2_sq = COV_VAR_COEFF * n_sq * trace_hat * trace_hat
+    # Also refuses a NaN or infinite trace_hat, which only overflow produces.
+    if not sys.float_info.min <= sigma2_sq <= sys.float_info.max:
+        raise DegenerateScaleError(
+            f"data scale out of range: estimated tr(Sigma^2) = {trace_hat:.3g} "
+            f"gives a covariance null variance of {sigma2_sq:.3g}; rescale the data"
+        )
     return Calibration(
         trace_hat=trace_hat,
         sigma1_sq=MEAN_VAR_COEFF * n_sq * trace_hat,
-        sigma2_sq=COV_VAR_COEFF * n_sq * trace_hat * trace_hat,
+        sigma2_sq=sigma2_sq,
     )

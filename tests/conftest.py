@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cpjoint import cov_stat_curve, mean_stat_curve
+
+# Property tests draw the same examples on every run, with no example
+# database to replay earlier failures from.
+settings.register_profile(
+    "cpjoint", derandomize=True, database=None, max_examples=50, deadline=None
+)
+settings.load_profile("cpjoint")
 
 
 def rel_err(a, b, floor=1e-12):

@@ -7,6 +7,7 @@ deterministic.
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cpjoint import (
     build_cov,
     chi2_4_sf,
     cov_stat_curve,
+    detect,
     gen_dataset,
     localize,
     mean_coefficients,
@@ -343,23 +345,47 @@ def _best_time(fn, repeats=5):
 
 
 def test_criterion_11_performance_contract():
+    # Two sweeps share the covariance curve: the Gram path (n < 4p) is
+    # O(n^2) once the Gram matrix is built, the feature-space path (n >= 4p)
+    # is linear in n with memory free of n^2.
     rng = np.random.default_rng(77011)
-    small = rng.standard_normal((400, 100))
-    large = rng.standard_normal((800, 100))
+    small = rng.standard_normal((200, 200))
+    large = rng.standard_normal((400, 200))
     cov_stat_curve(small)  # warm any lazy BLAS setup
     t_small = _best_time(lambda: cov_stat_curve(small))
     t_large = _best_time(lambda: cov_stat_curve(large))
-    ratio = t_large / t_small
+    gram_ratio = t_large / t_small
+
+    long_small = rng.standard_normal((4000, 50))
+    long_large = rng.standard_normal((8000, 50))
+    cov_stat_curve(long_small)
+    t_long_small = _best_time(lambda: cov_stat_curve(long_small))
+    t_long_large = _best_time(lambda: cov_stat_curve(long_large))
+    feature_ratio = t_long_large / t_long_small
+
+    tracemalloc.start()
+    try:
+        detect(long_large)
+        detect_peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
     big = rng.standard_normal((100_000, 50))
     start = time.perf_counter()
     mean_stat_curve(big)
     mean_elapsed = time.perf_counter() - start
 
-    ok = 3.0 <= ratio <= 6.0 and mean_elapsed <= 5.0
+    ok = (
+        3.0 <= gram_ratio <= 6.0
+        and feature_ratio <= 3.0
+        and detect_peak_mb <= 64.0
+        and mean_elapsed <= 5.0
+    )
     _verdict(
         "criterion 11 (performance contract)",
         ok,
-        f"cov curve {t_small * 1e3:.1f}ms -> {t_large * 1e3:.1f}ms (ratio {ratio:.2f}); "
-        f"mean curve at n=100000 in {mean_elapsed:.2f}s",
+        f"Gram-path cov curve {t_small * 1e3:.1f}ms -> {t_large * 1e3:.1f}ms "
+        f"(ratio {gram_ratio:.2f}); feature-path cov curve {t_long_small * 1e3:.1f}ms -> "
+        f"{t_long_large * 1e3:.1f}ms (ratio {feature_ratio:.2f}); detect peak at "
+        f"n=8000, p=50 {detect_peak_mb:.1f} MB; mean curve at n=100000 in {mean_elapsed:.2f}s",
     )

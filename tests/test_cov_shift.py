@@ -4,13 +4,20 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cpjoint import (
     SampleTooSmallError,
     cov_stat_curve,
     gram,
 )
-from cpjoint.cov_shift import _sweep_terms
+from cpjoint import cov_shift
+from cpjoint.cov_shift import (
+    _FEATURE_ROWS_PER_COLUMN,
+    _curve,
+    _feature_terms,
+    _sweep_terms,
+)
 from conftest import random_orthogonal, rel_err
 from naive import naive_cov_stat
 
@@ -61,6 +68,96 @@ def test_sweep_terms_match_brute_force(seed):
         for name, value in expected.items():
             fast = getattr(terms, name)[tau - 1]
             assert rel_err(fast, value) <= 1e-9, f"{name} at tau={tau}"
+
+
+@pytest.mark.parametrize("block", [3, 128])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_feature_terms_match_brute_force(seed, block, monkeypatch):
+    # Block size 3 puts block boundaries inside every prefix and suffix.
+    monkeypatch.setattr(cov_shift, "_BLOCK", block)
+    rng = np.random.default_rng(seed)
+    n = 10
+    x = rng.standard_normal((n, 2)) + 0.5
+    g = gram(x)
+    terms = _feature_terms(x)
+    expected = [brute_force_terms(g, tau) for tau in range(1, n)]
+    for name in expected[0]:
+        want = np.array([e[name] for e in expected])
+        got = getattr(terms, name)[: n - 1]
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-9 * scale, name
+
+
+def _gram_curve(x):
+    return _curve(_sweep_terms(gram(x)), x.shape[0]).per_tau.values
+
+
+def _feature_curve(x):
+    return _curve(_feature_terms(x), x.shape[0]).per_tau.values
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_matches_naive_oracle_across_the_path_switch(offset):
+    p = 3
+    n = _FEATURE_ROWS_PER_COLUMN * p + offset
+    x = np.random.default_rng(300 + offset).standard_normal((n, p))
+    result = cov_stat_curve(x)
+    for tau in range(4, n - 3):
+        assert rel_err(result.per_tau.value_at(tau), naive_cov_stat(x, tau)) <= 1e-9
+
+
+@pytest.mark.parametrize("shape", [(40, 30), (120, 12), (300, 40)])
+def test_both_paths_agree_on_centered_data(shape):
+    x = np.random.default_rng(301).standard_normal(shape)
+    x -= x.mean(axis=0)
+    via_gram = _gram_curve(x)
+    assert np.abs(_feature_curve(x) - via_gram).max() <= 1e-9 * np.abs(via_gram).max()
+
+
+def test_feature_path_at_least_as_accurate_as_gram_path():
+    n, p = 2000, 50
+    x = np.random.default_rng(302).standard_normal((n, p))
+    x[n // 2:] += 0.25
+    xl = x.astype(np.longdouble)
+    xl -= xl.mean(axis=0)
+    # _curve keeps the precision of the sums and rounds only the result.
+    exact = _curve(_sweep_terms(xl @ xl.T), n).per_tau.values
+    scale = np.abs(exact).max()
+    gram_err = np.abs(_gram_curve(x) - exact).max() / scale
+    feature_err = np.abs(cov_stat_curve(x).per_tau.values - exact).max() / scale
+    assert feature_err <= gram_err
+
+
+def test_large_offset_leaves_feature_path_curve_unchanged():
+    x = np.random.default_rng(303).standard_normal((400, 20))
+    base = cov_stat_curve(x).per_tau.values
+    moved = cov_stat_curve(x + 1000.0).per_tau.values
+    assert np.abs(moved - base).max() <= 1e-9 * np.abs(base).max()
+
+
+@given(
+    p=st.integers(1, 6),
+    extra_rows=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.floats(-1e3, 1e3),
+    k=st.integers(-30, 30),
+)
+def test_feature_path_invariances(p, extra_rows, seed, offset, k):
+    n = max(8, _FEATURE_ROWS_PER_COLUMN * p) + extra_rows
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    base = cov_stat_curve(x).per_tau.values
+    scale = np.abs(base).max()
+
+    def within(other, tol):
+        return np.abs(other.per_tau.values - base).max() <= tol * scale
+
+    assert within(cov_stat_curve(x + offset * rng.uniform(-1.0, 1.0, p)), 1e-9)
+    assert within(cov_stat_curve(x @ random_orthogonal(p, rng)), 1e-9)
+    scaled = cov_stat_curve(x * 2.0**k).per_tau.values
+    assert np.array_equal(scaled, base * 2.0 ** (4 * k))
+    reversed_values = cov_stat_curve(x[::-1]).per_tau.values[::-1]
+    assert np.abs(reversed_values - base).max() <= 1e-10 * scale
 
 
 def test_constant_rows_vanish():

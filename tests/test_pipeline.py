@@ -1,6 +1,7 @@
 """Detection and localization pipelines and the baseline decision rules."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,17 @@ class TestDetect:
     def test_alpha_validation(self, alpha):
         with pytest.raises(AlphaRangeError):
             detect(_null_data(), alpha=alpha)
+
+    # 200 x 100 runs the Gram path of the covariance sweep, 400 x 20 the
+    # feature-space path.
+    @pytest.mark.parametrize("shape", [(200, 100), (400, 20)])
+    @pytest.mark.parametrize("factor", [1e-80, 1e80])
+    def test_extreme_data_scale_named(self, shape, factor):
+        x = np.random.default_rng(21).standard_normal(shape) * factor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateScaleError, match="data scale"):
+                detect(x)
 
 
 class TestCalibrationKeyword:
