@@ -72,13 +72,14 @@ def as_matrix(data) -> np.ndarray:
 def gram(data) -> GramMatrix:
     """Pairwise inner products g[i, j] = x_i . x_j of all observation rows.
 
-    The result is exactly symmetric as stored: the lower triangle is
-    computed and mirrored, so g[i, j] == g[j, i] bitwise.  Cost O(n^2 p).
+    The result is exactly symmetric as stored, g[i, j] == g[j, i] bitwise:
+    on a contiguous array numpy evaluates ``x @ x.T`` with BLAS syrk, which
+    computes one triangle and copies it into the other.  Strided or
+    unaligned arrays would take numpy's own loop, which is not symmetric,
+    so they are copied to contiguous aligned memory first.  Cost O(n^2 p).
     """
-    x = as_matrix(data)
-    g = x @ x.T
-    lower = np.tril(g)
-    return lower + np.tril(g, -1).T
+    x = np.require(as_matrix(data), requirements=("C", "A"))
+    return x @ x.T
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ and independent of how it is parallelized.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -155,23 +156,42 @@ def _draw_errors(rng: np.random.Generator, n: int, p: int, dist: ErrorDist) -> n
     return rng.standard_t(9, size=(n, p)) / math.sqrt(9.0 / 7.0)
 
 
+@functools.lru_cache(maxsize=8, typed=True)
+def _cached_root(
+    scenario: CovScenario, corr: float, scale: float, p: int, sqrt_method: str
+) -> np.ndarray:
+    """``cov_sqrt(build_cov(...))``, kept per process and marked read-only.
+
+    Every replication of an experiment uses the same roots; eight entries
+    hold the pre-change root and the post-change roots of a ``delta2``
+    sweep.
+    """
+    root = cov_sqrt(build_cov(CovSpec(scenario, corr, scale), p), sqrt_method)
+    root.setflags(write=False)
+    return root
+
+
+def _roots(
+    model: SimulationModel, sqrt_method: str
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The pre-change root and, if the model has a change, the post-change root."""
+    pre = _cached_root(model.cov_scenario, _PRE_CORR, 1.0, model.p, sqrt_method)
+    if model.tau_star is None:
+        return pre, None
+    post = _cached_root(model.cov_scenario, _POST_CORR, model.delta2, model.p, sqrt_method)
+    return pre, post
+
+
 def gen_dataset(model: SimulationModel, sqrt_method: str = "spectral") -> Dataset:
     """One synthetic dataset, deterministic given ``model.seed``."""
     rng = np.random.default_rng(model.seed)
     errors = _draw_errors(rng, model.n, model.p, model.error_dist)
     tau = model.n if model.tau_star is None else model.tau_star
 
-    pre_root = cov_sqrt(
-        build_cov(CovSpec(model.cov_scenario, _PRE_CORR, 1.0), model.p),
-        sqrt_method,
-    )
+    pre_root, post_root = _roots(model, sqrt_method)
     x = np.empty((model.n, model.p))
     x[:tau] = errors[:tau] @ pre_root.T
     if tau < model.n:
-        post_root = cov_sqrt(
-            build_cov(CovSpec(model.cov_scenario, _POST_CORR, model.delta2), model.p),
-            sqrt_method,
-        )
         shift = model.delta1 / math.sqrt(model.p)
         x[tau:] = errors[tau:] @ post_root.T + shift
     return dataset_from_matrix(x)
@@ -247,6 +267,9 @@ def run_experiment(
     if workers == 1:
         results = [_one_rep(job) for job in jobs]
     else:
+        # Forked workers inherit the filled root cache instead of each
+        # recomputing the roots.
+        _roots(model, "spectral")
         chunk = max(1, reps // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_one_rep, jobs, chunksize=chunk))

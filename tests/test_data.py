@@ -86,6 +86,45 @@ class TestGram:
         data = dataset_from_matrix(np.eye(8))
         assert np.array_equal(gram(data), np.eye(8))
 
+    @pytest.mark.parametrize("shape", [(9, 3), (37, 53), (120, 250), (200, 100)])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "unaligned", "Dataset"])
+    def test_layout_independent_and_equal_to_mirror(self, shape, layout):
+        n, p = shape
+        wide = np.random.default_rng(n * p).standard_normal((n, 2 * p))
+        x = _with_layout(wide, layout)
+        contiguous = np.array(wide[:, ::2], order="C")
+        g = gram(x)
+        assert np.array_equal(g, g.T)
+        assert np.array_equal(g, _mirrored_product(contiguous))
+        if layout in ("C", "F", "Dataset"):
+            # Contiguous inputs keep the bits of the mirror built from them.
+            raw = x.values if layout == "Dataset" else x
+            assert np.array_equal(g, _mirrored_product(raw))
+
+
+def _mirrored_product(x):
+    """Reference Gram matrix: the lower triangle of x @ x.T mirrored upward."""
+    g = x @ x.T
+    return np.tril(g) + np.tril(g, -1).T
+
+
+def _with_layout(wide, layout):
+    """The even columns of ``wide`` in the requested memory layout."""
+    strided = wide[:, ::2]
+    if layout == "strided":
+        return strided
+    if layout == "F":
+        return np.asfortranarray(strided)
+    if layout == "Dataset":
+        return dataset_from_matrix(strided)
+    if layout == "unaligned":
+        raw = np.empty(strided.size * 8 + 1, dtype=np.uint8)[1:]
+        x = raw.view(np.float64).reshape(strided.shape)
+        x[...] = strided
+        assert not x.flags.aligned and x.flags.c_contiguous
+        return x
+    return np.ascontiguousarray(strided)
+
 
 class TestStatCurve:
     def test_indexing(self):

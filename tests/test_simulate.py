@@ -1,8 +1,11 @@
 """Covariance designs, data generation, seeding, and the experiment harness."""
 
+import math
+
 import numpy as np
 import pytest
 
+from cpjoint import simulate
 from cpjoint import (
     BadParamError,
     CovScenario,
@@ -169,6 +172,52 @@ class TestGenDataset:
     def test_cholesky_root_option_changes_law_not_shape(self):
         data = gen_dataset(_model(), sqrt_method="cholesky")
         assert (data.n, data.p) == (60, 6)
+
+
+class TestRootCache:
+    @pytest.fixture(autouse=True)
+    def _cold_cache(self):
+        simulate._cached_root.cache_clear()
+        yield
+        simulate._cached_root.cache_clear()
+
+    @pytest.mark.parametrize("method", ["spectral", "cholesky"])
+    @pytest.mark.parametrize("scenario", list(CovScenario))
+    def test_same_bits_as_fresh_roots(self, scenario, method):
+        model = _model(n=40, p=12, tau_star=20, delta1=0.5, delta2=1.5,
+                       cov_scenario=scenario)
+        pre = cov_sqrt(build_cov(CovSpec(scenario, 0.3, 1.0), 12), method)
+        post = cov_sqrt(build_cov(CovSpec(scenario, 0.5, 1.5), 12), method)
+        errors = np.random.default_rng(model.seed).standard_normal((40, 12))
+        expected = np.vstack([
+            errors[:20] @ pre.T,
+            errors[20:] @ post.T + 0.5 / math.sqrt(12),
+        ])
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            assert np.array_equal(gen_dataset(model, method).values, expected)
+
+    def test_run_experiment_computes_each_root_once(self, monkeypatch):
+        calls = []
+
+        def counting_cov_sqrt(sigma, method="spectral"):
+            calls.append(method)
+            return cov_sqrt(sigma, method)
+
+        monkeypatch.setattr(simulate, "cov_sqrt", counting_cov_sqrt)
+        run_experiment(_model(), reps=10)
+        assert 1 <= len(calls) <= 2
+
+    def test_cached_roots_read_only_public_roots_writeable(self):
+        pre, post = simulate._roots(_model(), "spectral")
+        for root in (pre, post):
+            assert not root.flags.writeable
+            with pytest.raises(ValueError):
+                root[0, 0] = 0.0
+        fresh = cov_sqrt(build_cov(CovSpec(CovScenario.AR1, 0.3, 1.0), 6))
+        assert fresh.flags.writeable
+        assert np.array_equal(fresh, pre)
+        fresh[0, 0] = 0.0
+        assert simulate._roots(_model(), "spectral")[0] is pre
 
 
 class TestRunExperiment:
