@@ -17,6 +17,7 @@ from .errors import (
     EmptyGridError,
     NegativeInputError,
     NonFiniteValueError,
+    NotAMatrixError,
     NotPSDError,
     NotSymmetricError,
     PValueRangeError,
@@ -91,6 +92,7 @@ __all__ = [
     "MethodResult",
     "NegativeInputError",
     "NonFiniteValueError",
+    "NotAMatrixError",
     "NotPSDError",
     "NotSymmetricError",
     "PValueRangeError",

@@ -11,7 +11,8 @@ sums of Gram entries g_ij and their squares turns every piece into one of
 thirteen running index-tuple sums, which two paths compute:
 
 - the Gram path (:func:`_sweep_terms`, n < 4p) sweeps the n x n Gram
-  matrix: O(n^2) on top of the O(n^2 p) Gram build, O(n^2) memory;
+  matrix in blocks of b columns: O(n^2) on top of the O(n^2 p) Gram build,
+  holding g plus O(n b) memory;
 - the feature path (:func:`_feature_terms`, n >= 4p) writes every sum as
   a polynomial in prefix moments s_t = sum x_i, A_t = sum x_i x_i',
   q_i = |x_i|^2 and u_t = sum q_i x_i, e.g. the sum of g_ij^2 over the
@@ -25,6 +26,7 @@ four-index identities deserve direct verification against brute force.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,11 +35,12 @@ import numpy as np
 from .data import GramMatrix, StatCurve, as_matrix, gram
 from .errors import SampleTooSmallError
 
-#: The feature path runs when n >= _FEATURE_ROWS_PER_COLUMN * p.  Measured
-#: on a 2-core box, the Gram path is faster at n = 2p and the feature path
-#: at n = 4p (p = 50 .. 200), with the two about even near n = 3p.
+#: The feature path runs when n >= _FEATURE_ROWS_PER_COLUMN * p.  Set on a
+#: 2-core box where the unblocked Gram sweep and the feature path were about
+#: even (n = 3p, p = 50 .. 200).  The blocked sweep is faster up to at least
+#: n = 8p at p >= 100, but it keeps the n x n Gram matrix.
 _FEATURE_ROWS_PER_COLUMN = 4
-#: Rows per block of the feature-space sweep.
+#: Rows per block of the feature-space sweep, columns per block of the Gram sweep.
 _BLOCK = 128
 
 
@@ -77,68 +80,82 @@ class _SweepTerms(NamedTuple):
     cross4: np.ndarray
 
 
-def _running_row_sums(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums of m restricted to columns j <= t and j > t, per row t."""
-    lower = np.diagonal(np.cumsum(m, axis=1)).copy()
-    upper = m.sum(axis=1) - lower
-    return lower, upper
+def _tail_sums(v: np.ndarray) -> np.ndarray:
+    """Sums of v[..., t+1:] for every t, accumulated from the end."""
+    out = np.zeros_like(v)
+    out[..., :-1] = np.cumsum(v[..., :0:-1], axis=-1)[..., ::-1]
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _block_masks(width: int, dtype: np.dtype) -> np.ndarray:
+    """0/1 masks [j <= t, j > t] over a width x width diagonal block."""
+    low = np.tri(width, dtype=dtype)
+    masks = np.stack((low, 1.0 - low))
+    masks.setflags(write=False)
+    return masks
 
 
 def _sweep_terms(g: GramMatrix) -> _SweepTerms:
+    """The thirteen sums from the Gram matrix, swept in blocks of columns.
+
+    The two-index sums follow from the column sums of g and g^2 above and
+    below the diagonal, each side accumulated from its own end, so that a
+    short prefix or suffix never comes out as a difference of long ones.
+    With C[t, j] the sum of g[i, j] over i <= t, i != j and S[t, j] the sum
+    over i > t, i != j, the three-index sums need per row t the sums of C^2
+    and S^2 over j <= t and over j > t.  C and S are built for one block of
+    about _BLOCK columns at a time, with one cumsum: O(n^2) time and O(n b)
+    memory beside g.
+    """
     n = g.shape[0]
-    g2 = g * g
-    diag = np.diagonal(g).copy()
-    diag2 = diag * diag
+    # edge[side, power, t]: sums of g[i, t]^power over i < t (side 0) and
+    # over i > t (side 1).  rows[side, half, t]: sums of C[t, j]^2 (side 0)
+    # and S[t, j]^2 (side 1) over j <= t (half 0) and over j > t (half 1).
+    edge = np.empty((2, 2, n), dtype=g.dtype)
+    rows = np.zeros((2, 2, n), dtype=g.dtype)
+    # Equal widths of at most _BLOCK columns, so that no block is a thin tail.
+    n_blocks = -(-n // _BLOCK)
+    bounds = [n * k // n_blocks for k in range(n_blocks + 1)]
+    width = -(-n // n_blocks)
+    masks = _block_masks(width, g.dtype)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        # Columns j = lo .. hi-1.  Rows above the block have only j > t, rows
+        # below it only j <= t; the square diagonal block takes the masks.
+        b = hi - lo
+        gj = g[:, lo:hi]
+        top = gj[:lo]
+        # In the diagonal block, masks[1] also marks the rows i < j.
+        edge[0, 1, lo:hi] = (np.einsum("ij,ij->j", top, top)
+                             + np.einsum("ij,ij,ij->j", gj[lo:hi], gj[lo:hi], masks[1, :b, :b]))
+        cs = np.empty((2, n, b), dtype=g.dtype)      # C, S
+        c = cs[0]
+        c[...] = gj
+        np.fill_diagonal(c[lo:hi], 0.0)
+        np.cumsum(c, axis=0, out=c)
+        np.subtract(c[-1], c, out=cs[1])
+        edge[:, 0, lo:hi] = np.diagonal(cs[:, lo:hi], axis1=1, axis2=2)
+        rows[:, 1, :lo] += np.einsum("kij,kij->ki", cs[:, :lo], cs[:, :lo])
+        rows[:, 0, hi:] += np.einsum("kij,kij->ki", cs[:, hi:], cs[:, hi:])
+        block = np.square(cs[:, lo:hi], out=cs[:, lo:hi])
+        rows[:, :, lo:hi] += np.einsum("sij,kij->ski", block, masks[:, :b, :b])
 
-    col_prefix = np.cumsum(g, axis=0)     # row t: sums of g[:t+1, j]
-    col_prefix2 = np.cumsum(g2, axis=0)
-    colsum = col_prefix[-1]
-    colsum2 = col_prefix2[-1]
-    total1 = colsum.sum()
-    total2 = colsum2.sum()
-
-    diag_prefix = np.cumsum(diag)
-    diag2_prefix = np.cumsum(diag2)
-
-    # Block sums of g / g^2 over the leading (t+1) x (t+1) square.
-    idx = np.arange(n - 1)
-    off = np.zeros(n)
-    off[1:] = col_prefix[idx, idx + 1]
-    block1 = np.cumsum(2.0 * off + diag)
-    off2 = np.zeros(n)
-    off2[1:] = col_prefix2[idx, idx + 1]
-    block2 = np.cumsum(2.0 * off2 + diag2)
-
-    band1 = col_prefix.sum(axis=1)        # rows <= t, all columns
-    band2 = col_prefix2.sum(axis=1)
-
-    pre1 = block1 - diag_prefix
-    pre2 = block2 - diag2_prefix
-    suf1 = (total1 - 2.0 * band1 + block1) - (diag_prefix[-1] - diag_prefix)
-    suf2 = (total2 - 2.0 * band2 + block2) - (diag2_prefix[-1] - diag2_prefix)
-    cross1 = band1 - block1
-    cross2 = band2 - block2
-
-    # Three distinct indices sharing the middle one: for each fixed j the
-    # two partners contribute (sum_i g_ij)^2 minus the i == k diagonal.
-    hinge = (col_prefix - diag[None, :]) ** 2 - col_prefix2 + diag2[None, :]
-    pre3, _ = _running_row_sums(hinge)
-    del hinge
-    suffix_col = colsum[None, :] - col_prefix
-    suffix_col2 = colsum2[None, :] - col_prefix2
-    hinge = (suffix_col - diag[None, :]) ** 2 - suffix_col2 + diag2[None, :]
-    _, suf3 = _running_row_sums(hinge)
-    del hinge
-    hinge = col_prefix**2 - col_prefix2
-    _, cross3_mid_suf = _running_row_sums(hinge)
-    del hinge
-    hinge = suffix_col**2 - suffix_col2
-    cross3_mid_pre, _ = _running_row_sums(hinge)
-    del hinge, suffix_col, suffix_col2
-
+    # Below the diagonal by difference, column by column.
+    edge[1, 1] = np.einsum("ij,ij->j", g, g) - edge[0, 1] - np.diagonal(g) ** 2
+    head = np.cumsum(edge, axis=2)      # over the columns 0 .. t
+    tail = _tail_sums(edge)             # over the columns t+1 .. n-1
+    pre1, pre2 = 2.0 * head[0]
+    suf1, suf2 = 2.0 * tail[1]
+    # Each row's partners after it, minus its partners before it, summed over
+    # the prefix; or the mirror image over the suffix, whichever is shorter.
+    cross1, cross2 = np.where(np.arange(n) < n // 2, head[1] - head[0], tail[0] - tail[1])
+    # Three distinct indices sharing the middle one j: the partners i, k of
+    # each j contribute C^2 or S^2 minus the i == k terms, which sum to
+    # pre2 or cross2 (partners in the prefix) and cross2 or suf2 (suffix).
+    (c_low, c_up), (s_low, s_up) = rows
     return _complete(
-        pre1, pre2, pre3, suf1, suf2, suf3,
-        cross1, cross2, cross3_mid_suf, cross3_mid_pre,
+        pre1, pre2, c_low - pre2, suf1, suf2, s_up - suf2,
+        cross1, cross2, c_up - cross2, s_low - cross2,
     )
 
 

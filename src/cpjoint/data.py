@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteValueError, TooFewObservationsError
+from .errors import NonFiniteValueError, NotAMatrixError, TooFewObservationsError
 
 # Smallest usable sample: both statistic curves and the consecutive-difference
 # trace estimator need at least 8 rows.
@@ -14,6 +14,28 @@ MIN_OBSERVATIONS = 8
 
 #: Gram matrices are plain symmetric ndarrays; the alias only documents intent.
 GramMatrix = np.ndarray
+
+
+def _finite_matrix(values) -> np.ndarray:
+    """values as a finite 2-d float64 array, or a typed error that names the fault."""
+    if values is None:
+        raise NotAMatrixError("expected a 2-d numeric matrix, got None")
+    try:
+        values = np.asarray(values)
+    except ValueError as exc:           # ragged nesting
+        raise NotAMatrixError(f"expected a 2-d numeric matrix: {exc}") from None
+    # Refused before the cast, which would drop the imaginary part.
+    if values.dtype.kind == "c":
+        raise NotAMatrixError("complex values are not supported; pass a real matrix")
+    try:
+        values = values.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise NotAMatrixError(f"expected a numeric matrix: {exc}") from None
+    if values.ndim != 2:
+        raise NotAMatrixError(f"expected a 2-d matrix, got ndim={values.ndim}")
+    if not np.isfinite(values).all():
+        raise NonFiniteValueError("observation matrix contains NaN or Inf")
+    return values
 
 
 @dataclass(frozen=True)
@@ -27,11 +49,7 @@ class Dataset:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError(f"expected a 2-d matrix, got ndim={values.ndim}")
-        if not np.isfinite(values).all():
-            raise NonFiniteValueError("observation matrix contains NaN or Inf")
+        values = _finite_matrix(self.values)
         if values.shape[0] < MIN_OBSERVATIONS:
             raise TooFewObservationsError(
                 f"need at least {MIN_OBSERVATIONS} observations, got {values.shape[0]}"
@@ -54,19 +72,14 @@ def dataset_from_matrix(values) -> Dataset:
 
     Pure validation: accepted values are stored bit-for-bit.
     """
-    return Dataset(np.asarray(values, dtype=np.float64))
+    return Dataset(values)
 
 
 def as_matrix(data) -> np.ndarray:
     """Return the observation matrix behind a Dataset or 2-d array-like."""
     if isinstance(data, Dataset):
         return data.values
-    values = np.asarray(data, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={values.ndim}")
-    if not np.isfinite(values).all():
-        raise NonFiniteValueError("observation matrix contains NaN or Inf")
-    return values
+    return _finite_matrix(data)
 
 
 def gram(data) -> GramMatrix:

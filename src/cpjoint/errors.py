@@ -9,6 +9,10 @@ class NonFiniteValueError(CpjointError, ValueError):
     """An input contains NaN or infinity."""
 
 
+class NotAMatrixError(CpjointError, ValueError):
+    """An input is not a real two-dimensional numeric matrix."""
+
+
 class TooFewObservationsError(CpjointError, ValueError):
     """A dataset has fewer than the minimum number of rows."""
 

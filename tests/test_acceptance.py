@@ -375,11 +375,21 @@ def test_criterion_11_performance_contract():
     mean_stat_curve(big)
     mean_elapsed = time.perf_counter() - start
 
+    # The Gram path keeps g plus column blocks: at most three n x n arrays.
+    gram_sized = rng.standard_normal((1000, 500))
+    tracemalloc.start()
+    try:
+        detect(gram_sized)
+        gram_detect_peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
     ok = (
         3.0 <= gram_ratio <= 6.0
         and feature_ratio <= 3.0
         and detect_peak_mb <= 64.0
         and mean_elapsed <= 5.0
+        and gram_detect_peak_mb <= 24.0
     )
     _verdict(
         "criterion 11 (performance contract)",
@@ -387,5 +397,6 @@ def test_criterion_11_performance_contract():
         f"Gram-path cov curve {t_small * 1e3:.1f}ms -> {t_large * 1e3:.1f}ms "
         f"(ratio {gram_ratio:.2f}); feature-path cov curve {t_long_small * 1e3:.1f}ms -> "
         f"{t_long_large * 1e3:.1f}ms (ratio {feature_ratio:.2f}); detect peak at "
-        f"n=8000, p=50 {detect_peak_mb:.1f} MB; mean curve at n=100000 in {mean_elapsed:.2f}s",
+        f"n=8000, p=50 {detect_peak_mb:.1f} MB; mean curve at n=100000 in {mean_elapsed:.2f}s; "
+        f"detect peak at n=1000, p=500 {gram_detect_peak_mb:.1f} MB",
     )

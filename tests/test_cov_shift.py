@@ -70,6 +70,22 @@ def test_sweep_terms_match_brute_force(seed):
             assert rel_err(fast, value) <= 1e-9, f"{name} at tau={tau}"
 
 
+@pytest.mark.parametrize("n", [10, 11])
+@pytest.mark.parametrize("block", [3, 4, 128])
+def test_blocked_sweep_matches_brute_force(n, block, monkeypatch):
+    # Small column blocks put block edges inside every prefix and suffix.
+    monkeypatch.setattr(cov_shift, "_BLOCK", block)
+    rng = np.random.default_rng(10 * n + block)
+    g = gram(rng.standard_normal((n, 3)) + 0.5)
+    terms = _sweep_terms(g)
+    expected = [brute_force_terms(g, tau) for tau in range(1, n)]
+    for name in expected[0]:
+        want = np.array([e[name] for e in expected])
+        got = getattr(terms, name)[: n - 1]
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-9 * scale, name
+
+
 @pytest.mark.parametrize("block", [3, 128])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_feature_terms_match_brute_force(seed, block, monkeypatch):
@@ -126,6 +142,19 @@ def test_feature_path_at_least_as_accurate_as_gram_path():
     gram_err = np.abs(_gram_curve(x) - exact).max() / scale
     feature_err = np.abs(cov_stat_curve(x).per_tau.values - exact).max() / scale
     assert feature_err <= gram_err
+
+
+@pytest.mark.parametrize("shape", [(200, 100), (400, 200)])
+def test_gram_path_accuracy_against_extended_precision(shape):
+    n, p = shape
+    x = np.random.default_rng(304).standard_normal(shape)
+    x[n // 2:] *= 1.5
+    x -= x.mean(axis=0)
+    xl = x.astype(np.longdouble)
+    xl -= xl.mean(axis=0)
+    exact = _curve(_sweep_terms(xl @ xl.T), n).per_tau.values
+    err = np.abs(_gram_curve(x) - exact).max() / np.abs(exact).max()
+    assert err <= 1e-11
 
 
 def test_large_offset_leaves_feature_path_curve_unchanged():

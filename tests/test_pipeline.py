@@ -11,6 +11,7 @@ from cpjoint import (
     BadParamError,
     DegenerateScaleError,
     Method,
+    NotAMatrixError,
     baselines,
     chi2_4_quantile,
     detect,
@@ -34,6 +35,28 @@ def _shifted_data(n=80, p=10, tau=40, mean_shift=2.0, cov_scale=2.0, seed=9):
     x = rng.standard_normal((n, p))
     x[tau:] = x[tau:] * math.sqrt(cov_scale) + mean_shift / math.sqrt(p)
     return x
+
+
+# Each bad input, with a fragment the error message must contain.
+_NOT_MATRICES = {
+    "1-d": (np.zeros(20), "ndim=1"),
+    "3-d": (np.zeros((10, 2, 2)), "ndim=3"),
+    "scalar": (3.0, "ndim=0"),
+    "None": (None, "None"),
+    "strings": ([["a", "b"]] * 10, "numeric"),
+    "ragged": ([[1.0, 2.0], [3.0]] * 5, "numeric"),
+    "complex": (np.ones((10, 2)) * (1.0 + 1.0j), "complex"),
+}
+
+
+@pytest.mark.parametrize("call", [detect, localize, baselines], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("name", list(_NOT_MATRICES))
+def test_bad_input_raises_typed_error(call, name):
+    data, cause = _NOT_MATRICES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotAMatrixError, match=cause):
+            call(data)
 
 
 class TestDetect:
