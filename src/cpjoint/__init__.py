@@ -25,7 +25,7 @@ from .errors import (
     TauRangeError,
     TooFewObservationsError,
 )
-from .mean_shift import MeanStatResult, mean_coefficients, mean_stat_curve
+from .mean_shift import MeanStatResult, mean_stat_curve
 from .cov_shift import CovStatResult, cov_stat_curve
 from .scale import (
     COV_VAR_COEFF,
@@ -116,7 +116,6 @@ __all__ = [
     "gen_dataset",
     "gram",
     "localize",
-    "mean_coefficients",
     "mean_stat_curve",
     "mix_seed",
     "normal_log_sf",

@@ -47,31 +47,50 @@ def read_matrix_csv(path: str) -> np.ndarray:
 
     A single leading header row is skipped when any of its cells is not
     numeric.  Every later row must be numeric and have the same width.
+    The file must be UTF-8 text.
     """
     rows: list[list[float]] = []
     width: Optional[int] = None
-    with open(path, newline="", encoding="utf-8") as handle:
-        for line_no, record in enumerate(csv.reader(handle), start=1):
-            if not record:
-                continue
-            try:
-                values = [float(cell) for cell in record]
-            except ValueError:
-                if line_no == 1:
-                    continue  # header row
-                raise CsvFormatError(
-                    f"row {line_no}: non-numeric value in {record!r}"
-                ) from None
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise CsvFormatError(
-                    f"row {line_no} has {len(values)} fields, expected {width}"
-                )
-            rows.append(values)
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            for line_no, record in enumerate(csv.reader(handle), start=1):
+                if not record:
+                    continue
+                try:
+                    values = [float(cell) for cell in record]
+                except ValueError:
+                    if line_no == 1:
+                        continue  # header row
+                    raise CsvFormatError(
+                        f"row {line_no}: non-numeric value in {record!r}"
+                    ) from None
+                if width is None:
+                    width = len(values)
+                elif len(values) != width:
+                    raise CsvFormatError(
+                        f"row {line_no} has {len(values)} fields, expected {width}"
+                    )
+                rows.append(values)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     if not rows:
         raise CsvFormatError(f"{path}: no numeric rows found")
     return np.array(rows, dtype=np.float64)
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> CsvFormatError:
+    """The error naming the first byte of ``path`` that is not UTF-8."""
+    # The text reader's offset counts from the start of the chunk it was
+    # decoding; decoding the whole file gives the offset in the file.
+    with open(path, "rb") as handle:
+        try:
+            handle.read().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+    return CsvFormatError(
+        f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+        f"at offset {exc.start}"
+    )
 
 
 def _emit_json(payload: dict, stream) -> None:

@@ -67,30 +67,3 @@ def mean_stat_curve(data) -> MeanStatResult:
     aggregate = float(np.dot(n1 * n2 / n, per_tau))
     return MeanStatResult(StatCurve(2, n - 2, per_tau), aggregate)
 
-
-def mean_coefficients(n: int) -> np.ndarray:
-    """Coefficients of the aggregate statistic as a pairwise expansion.
-
-    Returns an n x n array ``a`` with the strict upper triangle filled so
-    that the aggregate equals sum over i < k of a[i, k] * (x_i . x_k)
-    (0-based observation indices); the remaining entries are zero.  Every
-    row sum of the symmetric extension of ``a`` is zero, which is what
-    makes the aggregate translation invariant.
-
-    Used as an independent cross-check of :func:`mean_stat_curve`.
-    """
-    if n < 4:
-        raise SampleTooSmallError(f"coefficient table needs n >= 4, got {n}")
-
-    taus = np.arange(2, n - 1, dtype=np.float64)
-    # left[i] = sum over tau < i+1 of 1 / (n - tau - 1): both observations
-    # fall after the split; right[k] mirrors it for both before the split.
-    left = np.zeros(n + 1)
-    left[3:n] = np.cumsum(1.0 / (n - taus - 1.0))
-    right = np.zeros(n + 1)
-    right[2 : n - 1] = np.cumsum((1.0 / (taus - 1.0))[::-1])[::-1]
-
-    scale = 2.0 * (1.0 - 1.0 / n)
-    const = 6.0 / n - 2.0
-    one_based = scale * np.add.outer(left, right) + const
-    return np.triu(one_based[1:, 1:], k=1)

@@ -18,6 +18,10 @@ normal tail.  ``"finite_sample"`` uses the scaled chi-squared tail matched
 to the aggregate's estimated null skewness, which is about 0.3 at n=200,
 p=100 and makes the normal tail over-reject.  The covariance side and the
 per-split profiles are the same under both.
+
+``detect``, ``localize`` and ``baselines`` share one analysis of identical
+data: the last dataset they saw (a copy) and its two O(n) curves are kept
+until a call brings different values, compared bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .cov_shift import CovStatResult, cov_stat_curve
-from .data import Dataset, StatCurve, dataset_from_matrix
+from .data import Dataset, StatCurve, as_matrix
 from .errors import (
     AlphaRangeError,
     BadParamError,
@@ -122,10 +126,6 @@ class _Analysis(NamedTuple):
     p_combined: float
 
 
-def _as_dataset(data) -> Dataset:
-    return data if isinstance(data, Dataset) else dataset_from_matrix(data)
-
-
 def _check_calibration(calibration: str) -> None:
     if calibration not in _CALIBRATIONS:
         raise BadParamError(
@@ -133,7 +133,10 @@ def _check_calibration(calibration: str) -> None:
         )
 
 
-def _statistics(data: Dataset) -> tuple[Calibration, MeanStatResult, CovStatResult]:
+_Statistics = tuple[Calibration, MeanStatResult, CovStatResult]
+
+
+def _statistics(data: Dataset) -> _Statistics:
     """The calibration and both curves, with overflow reported as a data-scale error."""
     try:
         # The statistics are quartic and their null variances octic in the
@@ -149,9 +152,11 @@ def _statistics(data: Dataset) -> tuple[Calibration, MeanStatResult, CovStatResu
         ) from None
 
 
-def _analyze(data: Dataset, calibration: str = "plug_in") -> _Analysis:
-    _check_calibration(calibration)
-    calib, mean_result, cov_result = _statistics(data)
+def _analysis_from(
+    data: Dataset, statistics: _Statistics, calibration: str
+) -> _Analysis:
+    """The O(1) tail step on top of :func:`_statistics` (O(np) more for finite_sample)."""
+    calib, mean_result, cov_result = statistics
     z_mean = mean_result.aggregate / math.sqrt(calib.sigma1_sq)
     z_cov = cov_result.aggregate / math.sqrt(calib.sigma2_sq)
     if calibration == "finite_sample":
@@ -167,6 +172,42 @@ def _analyze(data: Dataset, calibration: str = "plug_in") -> _Analysis:
         data.n, data.p, mean_result, cov_result, calib,
         z_mean, z_cov, log_p_mean, log_p_cov, t_n, p_combined,
     )
+
+
+def _analyze(data: Dataset, calibration: str = "plug_in") -> _Analysis:
+    _check_calibration(calibration)
+    return _analysis_from(data, _statistics(data), calibration)
+
+
+# The last dataset the public calls analysed, with its statistics.  Read
+# once per call and replaced whole, so concurrent calls can only miss.
+_last_seen: Optional[tuple[Dataset, _Statistics]] = None
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float64 matrices are bitwise equal (so 0.0 and -0.0 differ)."""
+    if a.shape != b.shape:
+        return False
+    a, b = a.view(np.int64), b.view(np.int64)
+    # Row 0 first: data that differ almost always differ there.
+    return bool(np.array_equal(a[0], b[0]) and np.array_equal(a, b))
+
+
+def _public_analysis(data, calibration: str = "plug_in") -> _Analysis:
+    """:func:`_analyze` for the public calls, on a Dataset or matrix.
+
+    The statistics do not depend on the calibration, so they are reused
+    while the calls see the same matrix bits; every input check still
+    runs, and the outputs are those of a fresh analysis.
+    """
+    global _last_seen
+    values = as_matrix(data)
+    _check_calibration(calibration)
+    last = _last_seen
+    if last is None or not (data is last[0] or _same_bits(values, last[0].values)):
+        dataset = data if isinstance(data, Dataset) else Dataset(values)
+        last = _last_seen = (dataset, _statistics(dataset))
+    return _analysis_from(*last, calibration)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -205,7 +246,7 @@ def detect(data, alpha: float = 0.05, calibration: str = "plug_in") -> TestOutco
     instead of the normal one (see the module docstring).
     """
     _check_alpha(alpha)
-    return _outcome_from_analysis(_analyze(_as_dataset(data), calibration), alpha)
+    return _outcome_from_analysis(_public_analysis(data, calibration), alpha)
 
 
 class _Grid(NamedTuple):
@@ -261,9 +302,7 @@ def localize(data, lam: float = 0.2) -> LocalizationOutcome:
     clamped to [4, n - 4] so both per-split statistics exist.  Ties break
     toward the smallest split.
     """
-    dataset = _as_dataset(data)
-    a = _analyze(dataset)
-    prof = _profiles(a, lam)
+    prof = _profiles(_public_analysis(data), lam)
     return LocalizationOutcome(
         tau_hat=_argmax_tau(prof.taus, prof.fused),
         lam=lam,
@@ -305,4 +344,4 @@ def baselines(
     ``calibration`` is as in :func:`detect`.
     """
     _check_alpha(alpha)
-    return _decide(_analyze(_as_dataset(data), calibration), alpha, lam)
+    return _decide(_public_analysis(data, calibration), alpha, lam)

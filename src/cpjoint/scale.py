@@ -21,7 +21,6 @@ import numpy as np
 
 from .data import as_matrix
 from .errors import DegenerateScaleError, SampleTooSmallError
-from .mean_shift import mean_coefficients
 
 # Null-variance constants: Var(mean aggregate) = MEAN_VAR_COEFF * n^2 * tr(Sigma^2)
 # and Var(cov aggregate) = COV_VAR_COEFF * n^2 * tr(Sigma^2)^2, to leading order.
@@ -79,15 +78,57 @@ def trace_sigma3_hat(data) -> float:
     return float(np.sum(prods) / (8.0 * (n - 5)))
 
 
+# Columns of the mean-aggregate kernel formed at a time by _mean_kernel_skew.
+_KERNEL_BLOCK = 64
+
+
+def _exclusive_cumsum(v: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Row k holds the sum of the rows of v before k (after k when reverse)."""
+    out = np.zeros_like(v)
+    if reverse:
+        out[:-1] = np.cumsum(v[:0:-1], axis=0)[::-1]
+    else:
+        out[1:] = np.cumsum(v[:-1], axis=0)
+    return out
+
+
 @functools.lru_cache(maxsize=16)
 def _mean_kernel_skew(n: int) -> float:
     """tr(S^3) / (tr(S^2) / 2)^{3/2}, S the symmetric mean-aggregate kernel.
 
-    S = a + a^T with a = mean_coefficients(n).  O(n^3) once per n.
+    The aggregate is sum_{i<k} a_ik x_i . x_k with a_ik = c1 (L_i + R_k) + c0,
+    and S = a + a^T.  That structure gives S @ V from four prefix and suffix
+    sums, so tr(S^2) = sum S_ik^2 and tr(S^3) = sum (S @ S) * S are summed
+    over blocks of S's columns: O(n^2) time and O(n * block) memory, once
+    per n.
     """
-    a = mean_coefficients(n)
-    s = a + a.T
-    return float(np.sum((s @ s) * s)) / (0.5 * float(np.sum(s * s))) ** 1.5
+    taus = np.arange(2, n - 1, dtype=np.float64)
+    # left[i] sums 1 / (n - tau - 1) over the splits tau <= i, which put
+    # observation i after the split; right[k] sums 1 / (tau - 1) over the
+    # splits tau > k, which put observation k before it.
+    left = np.zeros(n)
+    left[2 : n - 1] = np.cumsum(1.0 / (n - taus - 1.0))
+    right = np.zeros(n)
+    right[1 : n - 2] = np.cumsum((1.0 / (taus - 1.0))[::-1])[::-1]
+    c1 = 2.0 * (1.0 - 1.0 / n)
+    c0 = 6.0 / n - 2.0
+    left_c, right_c = (c1 * left + c0)[:, None], (c1 * right + c0)[:, None]
+
+    rows = np.arange(n)[:, None]
+    tr2 = tr3 = 0.0
+    for start in range(0, n, _KERNEL_BLOCK):
+        cols = np.arange(start, min(start + _KERNEL_BLOCK, n))
+        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+        block = np.where(rows == cols, 0.0, c1 * (left[lo] + right[hi]) + c0)
+        product = (
+            left_c * _exclusive_cumsum(block, reverse=True)
+            + c1 * _exclusive_cumsum(right[:, None] * block, reverse=True)
+            + right_c * _exclusive_cumsum(block)
+            + c1 * _exclusive_cumsum(left[:, None] * block)
+        )
+        tr2 += float(np.sum(block * block))
+        tr3 += float(np.sum(product * block))
+    return tr3 / (0.5 * tr2) ** 1.5
 
 
 def mean_skewness(trace_hat: float, trace3_hat: float, n: int) -> float:

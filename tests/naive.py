@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from cpjoint.data import as_matrix
-from cpjoint.errors import NotSymmetricError, TauRangeError
+from cpjoint.errors import NotSymmetricError, SampleTooSmallError, TauRangeError
 
 _MAX_N_MEAN = 24
 _MAX_N_COV = 16
@@ -109,3 +109,32 @@ def naive_trace_sq(sigma) -> float:
         for j in range(s.shape[1]):
             total += float(s[i, j]) ** 2
     return total
+
+
+def mean_coefficients(n: int) -> np.ndarray:
+    """Coefficients of the aggregate statistic as a pairwise expansion.
+
+    Returns an n x n array ``a`` with the strict upper triangle filled so
+    that the aggregate equals sum over i < k of a[i, k] * (x_i . x_k)
+    (0-based observation indices); the remaining entries are zero.  Every
+    row sum of the symmetric extension of ``a`` is zero, which is what
+    makes the aggregate translation invariant.
+
+    Used as an independent cross-check of :func:`cpjoint.mean_stat_curve`
+    and of the kernel factor of the finite-sample calibration.
+    """
+    if n < 4:
+        raise SampleTooSmallError(f"coefficient table needs n >= 4, got {n}")
+
+    taus = np.arange(2, n - 1, dtype=np.float64)
+    # left[i] = sum over tau < i+1 of 1 / (n - tau - 1): both observations
+    # fall after the split; right[k] mirrors it for both before the split.
+    left = np.zeros(n + 1)
+    left[3:n] = np.cumsum(1.0 / (n - taus - 1.0))
+    right = np.zeros(n + 1)
+    right[2 : n - 1] = np.cumsum((1.0 / (taus - 1.0))[::-1])[::-1]
+
+    scale = 2.0 * (1.0 - 1.0 / n)
+    const = 6.0 / n - 2.0
+    one_based = scale * np.add.outer(left, right) + const
+    return np.triu(one_based[1:, 1:], k=1)

@@ -23,13 +23,12 @@ from cpjoint import (
     detect,
     gen_dataset,
     localize,
-    mean_coefficients,
     mean_stat_curve,
     run_experiment,
     trace_sigma2_hat,
 )
 from conftest import random_orthogonal, rel_err
-from naive import naive_cov_stat, naive_mean_stat, naive_trace_sq
+from naive import mean_coefficients, naive_cov_stat, naive_mean_stat, naive_trace_sq
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cpjoint import baselines, detect
-from cpjoint.cli import main, read_matrix_csv
+from cpjoint.cli import CsvFormatError, main, read_matrix_csv
 
 
 def write_matrix_csv(path, matrix):
@@ -115,6 +115,29 @@ class TestDetectCommand:
         write_matrix_csv(path, np.ones((20, 2)))
         assert main(["detect", path]) == 1
         capsys.readouterr()
+
+    # None stands for a directory in place of the file.
+    @pytest.mark.parametrize(
+        "content",
+        [b"", b"1,2\n3,nan\n" * 5, b"\xff\xfe1,2\n", None],
+        ids=["empty", "nan-cell", "not-utf8", "directory"],
+    )
+    def test_bad_input_exits_one_without_traceback(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.csv"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert main(["detect", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_non_utf8_names_file_and_offset(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"1.5,2.5\n" * 2000 + b"3.5,\xe94\n")
+        with pytest.raises(CsvFormatError, match=r"latin1\.csv.*0xe9 at offset 16004"):
+            read_matrix_csv(str(path))
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["detect", "/nonexistent/file.csv"]) == 1

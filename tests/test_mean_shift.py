@@ -5,11 +5,10 @@ import pytest
 
 from cpjoint import (
     SampleTooSmallError,
-    mean_coefficients,
     mean_stat_curve,
 )
 from conftest import random_orthogonal, rel_err
-from naive import naive_mean_stat
+from naive import mean_coefficients, naive_mean_stat
 
 
 def test_constant_rows_vanish():

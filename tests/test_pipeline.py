@@ -1,6 +1,10 @@
 """Detection and localization pipelines and the baseline decision rules."""
 
+import dataclasses
+import functools
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -9,18 +13,26 @@ import pytest
 from cpjoint import (
     AlphaRangeError,
     BadParamError,
+    CovScenario,
+    Dataset,
     DegenerateScaleError,
+    ErrorDist,
     Method,
+    NonFiniteValueError,
     NotAMatrixError,
+    SimulationModel,
     baselines,
     chi2_4_quantile,
     detect,
     fisher_combine,
     localize,
+    run_experiment,
     skewed_log_sf,
     trace_sigma2_hat,
     trace_sigma3_hat,
 )
+from cpjoint import pipeline
+from cpjoint.data import StatCurve
 from cpjoint.pipeline import _pick_min_p, _search_grid
 from cpjoint.scale import mean_skewness
 from conftest import rel_err
@@ -260,3 +272,166 @@ class TestBaselines:
             cov_rejects += cov_only.reject
         assert mean_rejects >= cov_rejects
         assert mean_rejects >= 25
+
+
+def _bits(out):
+    """A bitwise-exact image of an outcome or a list of outcomes."""
+    if isinstance(out, list):
+        return [_bits(o) for o in out]
+    image = []
+    for field in dataclasses.fields(out):
+        value = getattr(out, field.name)
+        if isinstance(value, StatCurve):
+            value = (value.tau_min, value.tau_max, value.values.tobytes())
+        elif isinstance(value, (float, np.floating)):
+            value = np.float64(value).tobytes()
+        image.append(value)
+    return image
+
+
+_CALLS = {
+    "detect": detect,
+    "detect_finite_sample": functools.partial(detect, calibration="finite_sample"),
+    "localize": localize,
+    "baselines": baselines,
+}
+
+
+def _cold(call, data):
+    """``call(data)`` with no stored analysis to reuse."""
+    pipeline._last_seen = None
+    return call(data)
+
+
+class TestSharedAnalysis:
+    """detect, localize and baselines reuse one analysis of identical data."""
+
+    @pytest.fixture
+    def analyses(self, monkeypatch):
+        """The datasets ``pipeline._statistics`` is called on, from a cold start."""
+        seen = []
+        statistics = pipeline._statistics
+
+        def counted(data):
+            seen.append(data)
+            return statistics(data)
+
+        monkeypatch.setattr(pipeline, "_statistics", counted)
+        monkeypatch.setattr(pipeline, "_last_seen", None)
+        return seen
+
+    def test_quickstart_sequence_analyses_once(self, analyses):
+        x = _shifted_data(seed=31)
+        detect(x)
+        localize(x)
+        baselines(x)
+        assert len(analyses) == 1
+        detect(x, calibration="finite_sample")
+        baselines(x, calibration="finite_sample")
+        assert len(analyses) == 1
+
+    @pytest.mark.parametrize("name", list(_CALLS))
+    def test_reuse_is_bitwise_a_cold_call(self, analyses, name):
+        x = _shifted_data(n=200, p=20, seed=32)
+        for warm_up in _CALLS.values():
+            warm_up(x)
+        warm = _CALLS[name](x)
+        assert len(analyses) == 1
+        assert _bits(warm) == _bits(_cold(_CALLS[name], x))
+
+    @pytest.mark.parametrize("row", [0, 57])
+    def test_array_changed_in_place(self, analyses, row):
+        x = _shifted_data(seed=33)
+        detect(x)
+        x[row, 3] += 0.5
+        for call in _CALLS.values():
+            assert _bits(call(x)) == _bits(_cold(call, x))
+        assert len(analyses) == 1 + 1 + len(_CALLS)
+
+    @pytest.mark.parametrize("row", [0, 57])
+    def test_signed_zero_is_different_data(self, analyses, row):
+        x = _shifted_data(seed=34)
+        x[row, 2] = 0.0
+        localize(x)
+        x[row, 2] = -0.0
+        warm = localize(x)
+        assert len(analyses) == 2
+        assert _bits(warm) == _bits(_cold(localize, x))
+
+    def test_dataset_and_equal_array_share_the_entry(self, analyses):
+        x = _shifted_data(seed=35)
+        data = Dataset(x)
+        detect(data)
+        warm = localize(x)
+        assert len(analyses) == 1
+        assert analyses[0] is data
+        assert _bits(warm) == _bits(_cold(localize, data))
+        assert _bits(baselines(Dataset(x))) == _bits(_cold(baselines, x))
+        assert len(analyses) == 3
+
+    def test_other_shape_is_analysed(self, analyses):
+        x = _shifted_data(seed=36)
+        detect(x)
+        detect(x[:-1])
+        detect(x[:, :-1])
+        assert len(analyses) == 3
+
+    def test_nan_after_a_stored_analysis(self, analyses):
+        x = _shifted_data(seed=37)
+        detect(x)
+        x[5, 1] = math.nan
+        for call in _CALLS.values():
+            with pytest.raises(NonFiniteValueError):
+                call(x)
+        assert len(analyses) == 1
+
+    def test_checks_run_on_a_reuse(self, analyses):
+        x = _shifted_data(seed=38)
+        detect(x)
+        with pytest.raises(AlphaRangeError):
+            detect(x, alpha=1.5)
+        with pytest.raises(BadParamError):
+            baselines(x, calibration="finite")
+        with pytest.raises(BadParamError):
+            localize(x, lam=0.7)
+        assert len(analyses) == 1
+
+    def test_threads_never_mix_entries(self):
+        xs = [_shifted_data(n=40, p=4, seed=seed) for seed in (40, 41)]
+        want = [_bits(_cold(detect, x)) for x in xs]
+        done, wrong = [], []
+
+        def work(offset):
+            for i in range(200):
+                k = (i + offset) % 2
+                if _bits(detect(xs[k])) != want[k]:
+                    wrong.append(k)
+                done.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(done) == 800
+        assert wrong == []
+
+    def test_run_experiment_leaves_the_entry_alone(self, monkeypatch):
+        class Unreadable(tuple):
+            def __getitem__(self, index):
+                raise AssertionError("run_experiment read the stored analysis")
+
+        stored = Unreadable()
+        monkeypatch.setattr(pipeline, "_last_seen", stored)
+        model = SimulationModel(
+            n=40, p=5, tau_star=20, delta1=1.0, delta2=2.0,
+            cov_scenario=CovScenario.AR1, error_dist=ErrorDist.NORMAL, seed=39,
+        )
+        run_experiment(model, 3)
+        assert pipeline._last_seen is stored

@@ -1,6 +1,7 @@
 """Trace estimator and the plug-in variance calibration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,12 +18,12 @@ from cpjoint import (
     build_cov,
     calibrate,
     gen_dataset,
-    mean_coefficients,
     trace_sigma2_hat,
     trace_sigma3_hat,
 )
 from cpjoint.scale import _mean_kernel_skew, mean_skewness
 from conftest import rel_err
+from naive import mean_coefficients
 
 
 def test_constant_rows_give_zero():
@@ -107,6 +108,23 @@ class TestMeanSkewness:
         eig = np.linalg.eigvalsh(a + a.T)
         expected = np.sum(eig**3) / (0.5 * np.sum(eig**2)) ** 1.5
         assert _mean_kernel_skew(40) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 9, 50, 200, 400])
+    def test_kernel_factor_matches_dense_kernel(self, n):
+        a = mean_coefficients(n)
+        s = a + a.T
+        dense = float(np.sum((s @ s) * s)) / (0.5 * float(np.sum(s * s))) ** 1.5
+        assert rel_err(_mean_kernel_skew(n), dense) <= 1e-12
+
+    def test_kernel_factor_memory(self):
+        # The dense kernel S and S @ S alone would take 64 MB at n = 2000.
+        tracemalloc.start()
+        try:
+            _mean_kernel_skew.__wrapped__(2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     def test_kernel_factor_at_paper_size(self):
         assert _mean_kernel_skew(200) == pytest.approx(2.3127, abs=1e-4)
