@@ -38,6 +38,17 @@ def _finite_matrix(values) -> np.ndarray:
     return values
 
 
+def _stored(values: np.ndarray) -> np.ndarray:
+    """A read-only copy of a finite float64 matrix with enough rows."""
+    if values.shape[0] < MIN_OBSERVATIONS:
+        raise TooFewObservationsError(
+            f"need at least {MIN_OBSERVATIONS} observations, got {values.shape[0]}"
+        )
+    values = values.copy()
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A validated n x p observation matrix, one row per time-ordered observation.
@@ -49,14 +60,14 @@ class Dataset:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = _finite_matrix(self.values)
-        if values.shape[0] < MIN_OBSERVATIONS:
-            raise TooFewObservationsError(
-                f"need at least {MIN_OBSERVATIONS} observations, got {values.shape[0]}"
-            )
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _stored(_finite_matrix(self.values)))
+
+    @classmethod
+    def _from_finite(cls, values: np.ndarray) -> "Dataset":
+        """A Dataset over a matrix that already passed ``_finite_matrix``."""
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "values", _stored(values))
+        return dataset
 
     @property
     def n(self) -> int:

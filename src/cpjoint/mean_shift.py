@@ -5,8 +5,11 @@ For a split tau, the two-sample statistic averages the inner products
 distinct post-split indices j1 != j2.  That removes the within-group
 variance terms, so its expectation is exactly the squared distance between
 the pre- and post-split mean vectors (0 when nothing changed).  The curve
-over every split and its weighted aggregate are computed in O(np) overall
-through running prefix sums.
+over every split and its weighted aggregate are computed through running
+prefix sums of centered columns, b = _BLOCK columns at a time: O(np) time
+and O(n b) memory beyond the input.  Centering keeps the prefix sums small
+for data far from the origin, where the statistic, translation invariant
+in exact arithmetic, would otherwise lose its digits to cancellation.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ import numpy as np
 
 from .data import StatCurve, as_matrix
 from .errors import SampleTooSmallError
+
+#: Columns per block of the prefix-sum sweep.
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -39,25 +45,39 @@ def mean_stat_curve(data) -> MeanStatResult:
         Time-ordered observations, n >= 4.
     """
     x = as_matrix(data)
-    n = x.shape[0]
+    n, p = x.shape
     if n < 4:
         raise SampleTooSmallError(f"mean-shift curve needs n >= 4, got {n}")
 
-    prefix = np.cumsum(x, axis=0)
-    sq_norms = np.cumsum(np.einsum("ij,ij->i", x, x))
-    total = prefix[-1]
-    total_sq = sq_norms[-1]
+    # With s1 the sum of the first t rows and total the sum of all of them,
+    # the curve needs per split |s1|^2, s1 . total and |total|^2, summed
+    # over the column blocks; s2 = total - s1 is never formed.
+    s1_sq = np.zeros(n - 3)
+    s1_total = np.zeros(n - 3)
+    total_sq = 0.0
+    q = np.zeros(n)
+    buf = np.empty((n, min(p, _BLOCK)))
+    for lo in range(0, p, _BLOCK):
+        cols = x[:, lo : lo + _BLOCK]
+        block = np.subtract(cols, cols.mean(axis=0), out=buf[:, : cols.shape[1]])
+        q += np.einsum("ij,ij->i", block, block)
+        np.cumsum(block, axis=0, out=block)
+        s1 = block[1 : n - 2]       # row t-1 holds the sum of the first t rows
+        total = block[-1]
+        s1_sq += np.einsum("ij,ij->i", s1, s1)
+        s1_total += np.einsum("ij,j->i", s1, total)
+        total_sq += float(np.einsum("j,j->", total, total))
 
-    taus = np.arange(2, n - 1)
-    s1 = prefix[1 : n - 2]          # row t-1 holds the sum of the first t rows
+    sq_norms = np.cumsum(q)
     q1 = sq_norms[1 : n - 2]
-    n1 = taus.astype(np.float64)
+    n1 = np.arange(2, n - 1, dtype=np.float64)
     n2 = n - n1
 
-    s2 = total - s1
-    within1 = np.einsum("ij,ij->i", s1, s1) - q1
-    within2 = np.einsum("ij,ij->i", s2, s2) - (total_sq - q1)
-    cross = np.einsum("ij,ij->i", s1, s2)
+    # |s2|^2 and s1 . s2 expanded: safe, since the centered total is at
+    # rounding level.
+    within1 = s1_sq - q1
+    within2 = total_sq - 2.0 * s1_total + s1_sq - (sq_norms[-1] - q1)
+    cross = s1_total - s1_sq
     per_tau = (
         within1 / (n1 * (n1 - 1.0))
         + within2 / (n2 * (n2 - 1.0))

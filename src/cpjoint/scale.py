@@ -7,7 +7,9 @@ the estimator unbiased under the null without ever forming Sigma.
 
 The finite-sample calibration also needs the null skewness of the mean
 aggregate, which is proportional to tr(Sigma^3) / tr(Sigma^2)^{3/2}; tr(Sigma^3)
-is estimated from consecutive differences in the same way.
+is estimated from consecutive differences in the same way.  Both
+estimators difference a few rows at a time (a block of about _TRACE_BYTES),
+so no n x p array is formed beside the data.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .errors import DegenerateScaleError, SampleTooSmallError
 MEAN_VAR_COEFF = (2.0 * math.pi**2 - 18.0) / 3.0
 COV_VAR_COEFF = (4.0 * math.pi**2 - 36.0) / 3.0
 
+#: Bytes of differenced rows the trace estimators hold at a time.
+_TRACE_BYTES = 1 << 19
+
 
 @dataclass(frozen=True)
 class Calibration:
@@ -35,6 +40,25 @@ class Calibration:
     trace_hat: float
     sigma1_sq: float
     sigma2_sq: float
+
+
+def _difference_blocks(x: np.ndarray, overlap: int):
+    """Consecutive differences of x, a block of rows at a time.
+
+    For a sum whose term i reads the differences d_i .. d_{i+overlap},
+    d_i = x_{i+1} - x_i, yields (lo, hi, d) with d[k] = d_{lo+k}: all the
+    differences the terms lo .. hi-1 read.  The blocks share one buffer of
+    about _TRACE_BYTES, and each term is formed from the same differences
+    as in an unblocked pass.
+    """
+    n, p = x.shape
+    terms = n - 1 - overlap
+    rows = min(max(1, _TRACE_BYTES // (8 * max(p, 1))), terms)
+    buf = np.empty((rows + overlap, p))
+    for lo in range(0, terms, rows):
+        hi = min(lo + rows, terms)
+        d = buf[: hi - lo + overlap]
+        yield lo, hi, np.subtract(x[lo + 1 : hi + overlap + 1], x[lo : hi + overlap], out=d)
 
 
 def trace_sigma2_hat(data) -> float:
@@ -49,8 +73,9 @@ def trace_sigma2_hat(data) -> float:
     n = x.shape[0]
     if n < 4:
         raise SampleTooSmallError(f"trace estimator needs n >= 4, got {n}")
-    steps = x[:-1] - x[1:]
-    prods = np.einsum("ij,ij->i", steps[:-2], steps[2:])
+    prods = np.empty(n - 3)
+    for lo, hi, d in _difference_blocks(x, 2):
+        prods[lo:hi] = np.einsum("ij,ij->i", d[:-2], d[2:])
     return float(np.sum(prods * prods) / (4.0 * (n - 3)))
 
 
@@ -68,13 +93,14 @@ def trace_sigma3_hat(data) -> float:
     n = x.shape[0]
     if n < 6:
         raise SampleTooSmallError(f"tr(Sigma^3) estimator needs n >= 6, got {n}")
-    d = np.diff(x, axis=0)
-    first, mid, last = d[:-4], d[2:-2], d[4:]
-    prods = (
-        np.einsum("ij,ij->i", first, mid)
-        * np.einsum("ij,ij->i", mid, last)
-        * np.einsum("ij,ij->i", last, first)
-    )
+    prods = np.empty(n - 5)
+    for lo, hi, d in _difference_blocks(x, 4):
+        first, mid, last = d[:-4], d[2:-2], d[4:]
+        prods[lo:hi] = (
+            np.einsum("ij,ij->i", first, mid)
+            * np.einsum("ij,ij->i", mid, last)
+            * np.einsum("ij,ij->i", last, first)
+        )
     return float(np.sum(prods) / (8.0 * (n - 5)))
 
 

@@ -2,7 +2,9 @@
 
 Each function evaluates its defining sum by direct enumeration of index
 tuples, sharing no code with the fast implementations.  Hard caps on n
-keep them from ever being run at experiment scale.
+keep them from ever being run at experiment scale.  The exception is the
+pair of unblocked trace estimators: single-pass forms over all n - 1
+differences, which the row-blocked estimators must match bit for bit.
 """
 
 from __future__ import annotations
@@ -109,6 +111,27 @@ def naive_trace_sq(sigma) -> float:
         for j in range(s.shape[1]):
             total += float(s[i, j]) ** 2
     return total
+
+
+def unblocked_trace_sigma2(data) -> float:
+    """tr(Sigma^2) estimate from all n - 1 consecutive differences at once."""
+    x = as_matrix(data)
+    steps = x[:-1] - x[1:]
+    prods = np.einsum("ij,ij->i", steps[:-2], steps[2:])
+    return float(np.sum(prods * prods) / (4.0 * (x.shape[0] - 3)))
+
+
+def unblocked_trace_sigma3(data) -> float:
+    """tr(Sigma^3) estimate from all n - 1 consecutive differences at once."""
+    x = as_matrix(data)
+    d = np.diff(x, axis=0)
+    first, mid, last = d[:-4], d[2:-2], d[4:]
+    prods = (
+        np.einsum("ij,ij->i", first, mid)
+        * np.einsum("ij,ij->i", mid, last)
+        * np.einsum("ij,ij->i", last, first)
+    )
+    return float(np.sum(prods) / (8.0 * (x.shape[0] - 5)))
 
 
 def mean_coefficients(n: int) -> np.ndarray:

@@ -7,6 +7,8 @@ from cpjoint import (
     SampleTooSmallError,
     mean_stat_curve,
 )
+from cpjoint import mean_shift
+from cpjoint.mean_shift import _BLOCK
 from conftest import random_orthogonal, rel_err
 from naive import mean_coefficients, naive_mean_stat
 
@@ -29,10 +31,17 @@ def test_minimum_sample_size():
         mean_stat_curve(np.zeros((3, 2)))
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_matches_naive_oracle(seed):
+# p = 2 * _BLOCK + 3 sweeps two full column blocks and a ragged third;
+# blocks of 2 columns put a ragged block after three full ones.
+@pytest.mark.parametrize(
+    "seed, p, block",
+    [(seed, 3, _BLOCK) for seed in range(8)] + [(8, 2 * _BLOCK + 3, _BLOCK), (9, 7, 2)],
+    ids=[str(seed) for seed in range(8)] + ["ragged_blocks", "blocks_of_2"],
+)
+def test_matches_naive_oracle(seed, p, block, monkeypatch):
+    monkeypatch.setattr(mean_shift, "_BLOCK", block)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((12, 3))
+    x = rng.standard_normal((12, p))
     result = mean_stat_curve(x)
     for tau in range(2, 11):
         expected = naive_mean_stat(x, tau)
@@ -93,6 +102,19 @@ class TestInvariances:
             rtol=1e-8, atol=1e-8 * scale,
         )
         assert rel_err(moved.aggregate, self.base.aggregate, floor=1e-8 * scale) <= 1e-8
+
+    # One shape with n < 4p (several column blocks) and one with n >= 4p.
+    @pytest.mark.parametrize("shape", [(200, 300), (2000, 50)], ids=["200x300", "2000x50"])
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    def test_translation_far_from_origin(self, shape, offset):
+        rng = np.random.default_rng(shape[1])
+        x = rng.standard_normal(shape)
+        base = mean_stat_curve(x)
+        rms = np.sqrt(np.mean(x * x))
+        moved = mean_stat_curve(x + offset * rms * rng.standard_normal(shape[1]))
+        scale = np.abs(base.per_tau.values).max()
+        assert np.abs(moved.per_tau.values - base.per_tau.values).max() <= 1e-8 * scale
+        assert rel_err(moved.aggregate, base.aggregate) <= 1e-8
 
     def test_rotation(self):
         q = random_orthogonal(5, self.rng)

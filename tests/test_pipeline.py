@@ -21,6 +21,7 @@ from cpjoint import (
     NonFiniteValueError,
     NotAMatrixError,
     SimulationModel,
+    TooFewObservationsError,
     baselines,
     chi2_4_quantile,
     detect,
@@ -31,6 +32,7 @@ from cpjoint import (
     trace_sigma2_hat,
     trace_sigma3_hat,
 )
+from cpjoint import data as data_module
 from cpjoint import pipeline
 from cpjoint.data import StatCurve
 from cpjoint.pipeline import _pick_min_p, _search_grid
@@ -368,6 +370,23 @@ class TestSharedAnalysis:
         assert _bits(warm) == _bits(_cold(localize, data))
         assert _bits(baselines(Dataset(x))) == _bits(_cold(baselines, x))
         assert len(analyses) == 3
+
+    def test_a_miss_validates_once(self, analyses, monkeypatch):
+        checked = []
+        finite_matrix = data_module._finite_matrix
+
+        def counted(values):
+            checked.append(values)
+            return finite_matrix(values)
+
+        monkeypatch.setattr(data_module, "_finite_matrix", counted)
+        x = _shifted_data(seed=39)
+        detect(x)
+        assert len(checked) == len(analyses) == 1
+        with pytest.raises(TooFewObservationsError):
+            detect(x[:7])
+        with pytest.raises(TooFewObservationsError):
+            Dataset(x[:7])
 
     def test_other_shape_is_analysed(self, analyses):
         x = _shifted_data(seed=36)

@@ -21,9 +21,11 @@ from cpjoint import (
     trace_sigma2_hat,
     trace_sigma3_hat,
 )
+from cpjoint import scale
+from cpjoint.mean_shift import _BLOCK
 from cpjoint.scale import _mean_kernel_skew, mean_skewness
 from conftest import rel_err
-from naive import mean_coefficients
+from naive import mean_coefficients, unblocked_trace_sigma2, unblocked_trace_sigma3
 
 
 def test_constant_rows_give_zero():
@@ -46,6 +48,28 @@ def test_monte_carlo_unbiased_identity_covariance():
     rng = np.random.default_rng(321)
     vals = [trace_sigma2_hat(rng.standard_normal((n, p))) for _ in range(reps)]
     assert abs(np.mean(vals) - 20.0) <= 0.05 * 20.0
+
+
+# Row blocks of one row, of two rows with a ragged end, and of the default
+# size, which at p = 2 * _BLOCK + 3 and n = 700 gives three blocks.  Each
+# term's row products see the same numbers as the unblocked pass, so the
+# estimates agree bit for bit (numpy's einsum sums a row of up to 8192
+# entries the same way however many rows a call has).
+@pytest.mark.parametrize(
+    "shape, budget",
+    [((9, 4), 1), ((40, 7), 2 * 8 * 7), ((700, 2 * _BLOCK + 3), None)],
+    ids=["one_row", "two_rows", "default"],
+)
+@pytest.mark.parametrize(
+    "estimator, unblocked",
+    [(trace_sigma2_hat, unblocked_trace_sigma2), (trace_sigma3_hat, unblocked_trace_sigma3)],
+    ids=["sigma2", "sigma3"],
+)
+def test_row_blocks_match_unblocked_formula(estimator, unblocked, shape, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(scale, "_TRACE_BYTES", budget)
+    x = np.random.default_rng(shape[0]).standard_normal(shape) + 0.5
+    assert estimator(x) == unblocked(x)
 
 
 class TestInvariances:
