@@ -5,6 +5,9 @@ observations (rows = time-ordered observations, columns = variables,
 optional header row auto-detected); ``simulate`` runs the Monte Carlo
 harness, optionally sweeping one change magnitude over a grid.
 
+A CSV is parsed in one streaming ``np.loadtxt`` pass over its lines, with
+no Python object per cell.
+
 Exit codes encode execution success only (0 ok, 1 any error); test
 decisions live in the report, which goes to stdout.
 """
@@ -14,10 +17,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import os
+import re
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -42,40 +47,79 @@ class CsvFormatError(CpjointError, ValueError):
     """The input file is not a rectangular numeric CSV."""
 
 
+# Comma-separated float64 cells, quoted or not; ``#`` is data, not a comment.
+_CSV_FORMAT = dict(delimiter=",", dtype=np.float64, ndmin=2, quotechar='"', comments=None)
+
+
+class _CountedLines:
+    """The lines of a text file, counting how many have been handed out."""
+
+    def __init__(self, handle) -> None:
+        self._handle = handle
+        self.count = 0
+
+    def __iter__(self) -> "_CountedLines":
+        return self
+
+    def __next__(self) -> str:
+        line = next(self._handle)
+        self.count += 1
+        return line
+
+
 def read_matrix_csv(path: str) -> np.ndarray:
     """Parse a numeric CSV into an observation matrix.
 
     A single leading header row is skipped when any of its cells is not
-    numeric.  Every later row must be numeric and have the same width.
-    The file must be UTF-8 text.
+    numeric.  Blank lines are skipped; every other row must be numeric and
+    have the same width.  The file must be UTF-8 text; a leading byte-order
+    mark is dropped.  Cells may be quoted.  The body is parsed in one
+    streaming ``np.loadtxt`` pass; a bad row is named by its line number,
+    counting the header and blank lines.
     """
-    rows: list[list[float]] = []
-    width: Optional[int] = None
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            for line_no, record in enumerate(csv.reader(handle), start=1):
-                if not record:
-                    continue
-                try:
-                    values = [float(cell) for cell in record]
-                except ValueError:
-                    if line_no == 1:
-                        continue  # header row
-                    raise CsvFormatError(
-                        f"row {line_no}: non-numeric value in {record!r}"
-                    ) from None
-                if width is None:
-                    width = len(values)
-                elif len(values) != width:
-                    raise CsvFormatError(
-                        f"row {line_no} has {len(values)} fields, expected {width}"
-                    )
-                rows.append(values)
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            lines = _CountedLines(handle)
+            body = _data_lines(lines)
+            if body is None:
+                raise CsvFormatError(f"{path}: no numeric rows found")
+            try:
+                return np.loadtxt(body, **_CSV_FORMAT)
+            except UnicodeDecodeError:
+                raise
+            except ValueError as exc:
+                raise CsvFormatError(f"row {lines.count}: {_reason(exc)}") from None
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
-    if not rows:
-        raise CsvFormatError(f"{path}: no numeric rows found")
-    return np.array(rows, dtype=np.float64)
+
+
+def _data_lines(lines: _CountedLines) -> Optional[Iterator[str]]:
+    """The lines from the first data row on, or None when there is none."""
+    for line in lines:
+        if line.rstrip("\r\n") and not (lines.count == 1 and _is_header(line)):
+            return itertools.chain([line], lines)
+    return None
+
+
+def _is_header(line: str) -> bool:
+    """Whether ``float`` rejects one of the line's cells."""
+    try:
+        np.loadtxt([line], **_CSV_FORMAT)   # a numeric line takes no loop per cell
+        return False
+    except ValueError:
+        pass
+    for cell in next(csv.reader([line])):
+        try:
+            float(cell)
+        except ValueError:
+            return True
+    return False
+
+
+def _reason(exc: ValueError) -> str:
+    """numpy's parse error without its row number, which skips the header."""
+    text = str(exc).split(";")[0]   # drop advice about loadtxt's usecols
+    return re.sub(r" at row \d+", "", text).rstrip(".")
 
 
 def _not_utf8(path: str, exc: UnicodeDecodeError) -> CsvFormatError:

@@ -38,15 +38,28 @@ def _finite_matrix(values) -> np.ndarray:
     return values
 
 
-def _stored(values: np.ndarray) -> np.ndarray:
-    """A read-only copy of a finite float64 matrix with enough rows."""
+def _stored(values: np.ndarray, source) -> np.ndarray:
+    """A finite float64 matrix with enough rows, read-only and C-ordered.
+
+    ``values`` is what ``_finite_matrix`` made of ``source``.  It is copied
+    unless it is a C-ordered array built or converted from ``source``,
+    which no one else holds.
+    """
     if values.shape[0] < MIN_OBSERVATIONS:
         raise TooFewObservationsError(
             f"need at least {MIN_OBSERVATIONS} observations, got {values.shape[0]}"
         )
-    values = values.copy()
+    if not (values.flags.c_contiguous and _made_from(values, source)):
+        values = values.copy()
     values.setflags(write=False)
     return values
+
+
+def _made_from(values: np.ndarray, source) -> bool:
+    """Whether ``values`` was built or converted from ``source``, sharing no memory."""
+    if isinstance(source, np.ndarray):
+        return not np.may_share_memory(values, source)
+    return isinstance(source, (list, tuple))
 
 
 @dataclass(frozen=True)
@@ -60,13 +73,14 @@ class Dataset:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _stored(_finite_matrix(self.values)))
+        values = _finite_matrix(self.values)
+        object.__setattr__(self, "values", _stored(values, self.values))
 
     @classmethod
-    def _from_finite(cls, values: np.ndarray) -> "Dataset":
-        """A Dataset over a matrix that already passed ``_finite_matrix``."""
+    def _from_finite(cls, values: np.ndarray, source) -> "Dataset":
+        """A Dataset over what ``_finite_matrix`` made of ``source``."""
         dataset = object.__new__(cls)
-        object.__setattr__(dataset, "values", _stored(values))
+        object.__setattr__(dataset, "values", _stored(values, source))
         return dataset
 
     @property

@@ -205,7 +205,7 @@ def _public_analysis(data, calibration: str = "plug_in") -> _Analysis:
     _check_calibration(calibration)
     last = _last_seen
     if last is None or not (data is last[0] or _same_bits(values, last[0].values)):
-        dataset = data if isinstance(data, Dataset) else Dataset._from_finite(values)
+        dataset = data if isinstance(data, Dataset) else Dataset._from_finite(values, data)
         last = _last_seen = (dataset, _statistics(dataset))
     return _analysis_from(*last, calibration)
 

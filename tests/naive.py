@@ -4,13 +4,17 @@ Each function evaluates its defining sum by direct enumeration of index
 tuples, sharing no code with the fast implementations.  Hard caps on n
 keep them from ever being run at experiment scale.  The exception is the
 pair of unblocked trace estimators: single-pass forms over all n - 1
-differences, which the row-blocked estimators must match bit for bit.
+differences, which the row-blocked estimators must match bit for bit, and
+the CSV reader that builds one Python float per cell.
 """
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
+from cpjoint.cli import CsvFormatError
 from cpjoint.data import as_matrix
 from cpjoint.errors import NotSymmetricError, SampleTooSmallError, TauRangeError
 
@@ -161,3 +165,36 @@ def mean_coefficients(n: int) -> np.ndarray:
     const = 6.0 / n - 2.0
     one_based = scale * np.add.outer(left, right) + const
     return np.triu(one_based[1:, 1:], k=1)
+
+
+def naive_read_matrix_csv(path: str) -> np.ndarray:
+    """Parse a numeric CSV cell by cell with ``csv.reader`` and ``float``.
+
+    Line 1 is skipped as a header when one of its cells is not numeric;
+    blank lines are skipped; a UTF-8 byte-order mark is dropped.  Every
+    other row must be numeric and as wide as the first data row.
+    """
+    rows: list[list[float]] = []
+    width = None
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        for line_no, record in enumerate(csv.reader(handle), start=1):
+            if not record:
+                continue
+            try:
+                values = [float(cell) for cell in record]
+            except ValueError:
+                if line_no == 1:
+                    continue  # header row
+                raise CsvFormatError(
+                    f"row {line_no}: non-numeric value in {record!r}"
+                ) from None
+            if width is None:
+                width = len(values)
+            elif len(values) != width:
+                raise CsvFormatError(
+                    f"row {line_no} has {len(values)} fields, expected {width}"
+                )
+            rows.append(values)
+    if not rows:
+        raise CsvFormatError(f"{path}: no numeric rows found")
+    return np.array(rows, dtype=np.float64)

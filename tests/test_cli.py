@@ -3,12 +3,16 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpjoint import baselines, detect
 from cpjoint.cli import CsvFormatError, main, read_matrix_csv
+
+from naive import naive_read_matrix_csv
 
 
 def write_matrix_csv(path, matrix):
@@ -39,6 +43,56 @@ def csv_path(tmp_path):
     return str(path)
 
 
+def _named_row(exc):
+    found = re.search(r"row (\d+)", str(exc))
+    return found and int(found[1])
+
+
+_CELL_VALUES = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, 0.1]
+)
+# Cells neither reader takes as a number; "1_000" and non-ASCII digits are
+# left out (only float takes them, see test_float_only_spelling_named).
+_BAD_CELLS = st.sampled_from(["x", "#1", "# 2", "", "1.5.2", "--1", "a b"])
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV bytes: a header, a BOM, CRLF, blank lines, quoted cells and no
+    final newline each drawn or not, and at times one bad or ragged row."""
+    width = draw(st.integers(1, 4))
+    row_values = st.lists(_CELL_VALUES, min_size=width, max_size=width)
+    rows = [
+        [_format_cell(draw, repr(v)) for v in draw(row_values)]
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    fault = draw(st.sampled_from(["cell", "wider", "narrower", None])) if rows else None
+    if fault:
+        row = draw(st.integers(0, len(rows) - 1))
+        if fault == "cell":
+            column = draw(st.integers(0, width - 1))
+            rows[row][column] = _format_cell(draw, draw(_BAD_CELLS))
+        elif fault == "wider":
+            rows[row].append(_format_cell(draw, repr(draw(_CELL_VALUES))))
+        else:
+            rows[row].pop()
+    if draw(st.booleans()):
+        rows.insert(0, [f"x{j}" for j in range(width)])
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    text = newline.join(lines)
+    if lines and draw(st.booleans()):
+        text += newline
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + text).encode("utf-8")
+
+
+def _format_cell(draw, text):
+    return f'"{text}"' if draw(st.booleans()) else text
+
+
 class TestCsvIo:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -64,6 +118,41 @@ class TestCsvIo:
         _write_rows(path, [[1.0, 2.0], ["x", 4.0]])
         with pytest.raises(Exception, match="row 2"):
             read_matrix_csv(path)
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5,2.5\n3,4\n5,6\n")
+        assert np.array_equal(read_matrix_csv(str(path)), [[1.5, 2.5], [3, 4], [5, 6]])
+
+    def test_hash_is_data_not_a_comment(self, tmp_path):
+        path = tmp_path / "hash.csv"
+        path.write_text("1,2\n#3,4\n")
+        with pytest.raises(CsvFormatError, match=r"^row 2: .*#3"):
+            read_matrix_csv(str(path))
+
+    @pytest.mark.parametrize("cell", ["1_000", "\uff11.5"], ids=["underscore", "fullwidth"])
+    def test_float_only_spelling_named(self, tmp_path, cell):
+        # float() reads both (1000.0, 1.5); the reader takes ASCII decimals only.
+        path = tmp_path / "spelling.csv"
+        path.write_text(f"1,2\n\n{cell},4\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError, match=f"^row 3: .*{cell}"):
+            read_matrix_csv(str(path))
+
+    @settings(max_examples=100)
+    @given(_csv_files())
+    def test_matches_cell_by_cell_reader(self, tmp_path_factory, content):
+        path = tmp_path_factory.mktemp("csv") / "drawn.csv"
+        path.write_bytes(content)
+        try:
+            expected = naive_read_matrix_csv(str(path))
+        except CsvFormatError as exc:
+            with pytest.raises(CsvFormatError) as got:
+                read_matrix_csv(str(path))
+            assert _named_row(got.value) == _named_row(exc)
+        else:
+            got = read_matrix_csv(str(path))
+            assert got.shape == expected.shape
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestDetectCommand:

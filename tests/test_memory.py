@@ -1,4 +1,4 @@
-"""Traced peak memory of the O(np) stages and of detect when p >> n."""
+"""Traced peak memory of the O(np) stages, detect and the CSV reader when p >> n."""
 
 import tracemalloc
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cpjoint import detect, mean_stat_curve, pipeline, trace_sigma2_hat, trace_sigma3_hat
+from cpjoint.cli import read_matrix_csv
 
 # 64 x 20000 doubles, 10.24 MB: a quarter of it is well above the stages'
 # O(n b) buffers, and an n x p temporary is far above a quarter.
@@ -38,3 +39,16 @@ def test_detect_holds_one_copy_of_the_data(wide, monkeypatch):
     # No analysis is kept, so detect copies and analyses the array afresh.
     monkeypatch.setattr(pipeline, "_last_seen", None)
     assert traced_peak(detect, wide.copy()) < 1.25 * wide.nbytes
+
+
+def test_detect_on_float32_holds_one_float64_copy(wide, monkeypatch):
+    # The float64 conversion is private, so it is stored, not copied again.
+    monkeypatch.setattr(pipeline, "_last_seen", None)
+    assert traced_peak(detect, wide.astype(np.float32)) < 1.25 * wide.nbytes
+
+
+def test_csv_reader_holds_little_beside_the_result(tmp_path):
+    path = tmp_path / "wide.csv"
+    np.savetxt(path, np.random.default_rng(3).standard_normal((200, 2000)),
+               fmt="%.17g", delimiter=",")
+    assert traced_peak(read_matrix_csv, str(path)) <= 1.5 * 200 * 2000 * 8
