@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .data import dataset_from_matrix
+from .data import Dataset, _finite_matrix
 from .errors import BadParamError, CpjointError
 from .pipeline import detect, localize
 from .simulate import (
@@ -122,6 +122,11 @@ def _reason(exc: ValueError) -> str:
     return re.sub(r" at row \d+", "", text).rstrip(".")
 
 
+def _read_dataset(path: str) -> Dataset:
+    """The CSV at ``path`` as a Dataset over the parsed array itself, not a copy."""
+    return Dataset._from_finite(_finite_matrix(read_matrix_csv(path)), owned=True)
+
+
 def _not_utf8(path: str, exc: UnicodeDecodeError) -> CsvFormatError:
     """The error naming the first byte of ``path`` that is not UTF-8."""
     # The text reader's offset counts from the start of the chunk it was
@@ -172,8 +177,7 @@ def _resolve_parallelism(flag_value: int) -> int:
 
 
 def _cmd_detect(args) -> dict:
-    matrix = read_matrix_csv(args.input)
-    data = dataset_from_matrix(matrix)
+    data = _read_dataset(args.input)
     outcome = detect(data, alpha=args.alpha)
     return {
         "spec_version": REPORT_VERSION,
@@ -190,8 +194,7 @@ def _cmd_detect(args) -> dict:
 
 
 def _cmd_localize(args) -> dict:
-    matrix = read_matrix_csv(args.input)
-    data = dataset_from_matrix(matrix)
+    data = _read_dataset(args.input)
     outcome = localize(data, lam=args.lam)
     report = {
         "spec_version": REPORT_VERSION,

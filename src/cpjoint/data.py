@@ -38,18 +38,17 @@ def _finite_matrix(values) -> np.ndarray:
     return values
 
 
-def _stored(values: np.ndarray, source) -> np.ndarray:
+def _stored(values: np.ndarray, owned: bool) -> np.ndarray:
     """A finite float64 matrix with enough rows, read-only and C-ordered.
 
-    ``values`` is what ``_finite_matrix`` made of ``source``.  It is copied
-    unless it is a C-ordered array built or converted from ``source``,
-    which no one else holds.
+    ``values`` is what ``_finite_matrix`` made of its source.  It is copied
+    unless it is C-ordered and ``owned``: no one else holds it.
     """
     if values.shape[0] < MIN_OBSERVATIONS:
         raise TooFewObservationsError(
             f"need at least {MIN_OBSERVATIONS} observations, got {values.shape[0]}"
         )
-    if not (values.flags.c_contiguous and _made_from(values, source)):
+    if not (values.flags.c_contiguous and owned):
         values = values.copy()
     values.setflags(write=False)
     return values
@@ -74,13 +73,14 @@ class Dataset:
 
     def __post_init__(self) -> None:
         values = _finite_matrix(self.values)
-        object.__setattr__(self, "values", _stored(values, self.values))
+        owned = _made_from(values, self.values)
+        object.__setattr__(self, "values", _stored(values, owned))
 
     @classmethod
-    def _from_finite(cls, values: np.ndarray, source) -> "Dataset":
-        """A Dataset over what ``_finite_matrix`` made of ``source``."""
+    def _from_finite(cls, values: np.ndarray, owned: bool) -> "Dataset":
+        """A Dataset over what ``_finite_matrix`` returned, not copied if ``owned``."""
         dataset = object.__new__(cls)
-        object.__setattr__(dataset, "values", _stored(values, source))
+        object.__setattr__(dataset, "values", _stored(values, owned))
         return dataset
 
     @property

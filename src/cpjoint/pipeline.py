@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .cov_shift import CovStatResult, cov_stat_curve
-from .data import Dataset, StatCurve, as_matrix
+from .data import Dataset, StatCurve, _made_from, as_matrix
 from .errors import (
     AlphaRangeError,
     BadParamError,
@@ -159,12 +159,11 @@ def _analysis_from(
     calib, mean_result, cov_result = statistics
     z_mean = mean_result.aggregate / math.sqrt(calib.sigma1_sq)
     z_cov = cov_result.aggregate / math.sqrt(calib.sigma2_sq)
+    # One call for both scores: the normal tail costs mostly per call.
+    log_p_mean, log_p_cov = normal_log_sf(np.array([z_mean, z_cov])).tolist()
     if calibration == "finite_sample":
         skew = mean_skewness(calib.trace_hat, trace_sigma3_hat(data), data.n)
         log_p_mean = skewed_log_sf(z_mean, skew)
-    else:
-        log_p_mean = normal_log_sf(z_mean)
-    log_p_cov = normal_log_sf(z_cov)
     t_n = fisher_combine_log(log_p_mean, log_p_cov)
     # p_combined lives in (0, 1]: exactly 1 at t_n = 0, never exactly 0.
     p_combined = max(chi2_4_sf(t_n), TINY)
@@ -205,7 +204,9 @@ def _public_analysis(data, calibration: str = "plug_in") -> _Analysis:
     _check_calibration(calibration)
     last = _last_seen
     if last is None or not (data is last[0] or _same_bits(values, last[0].values)):
-        dataset = data if isinstance(data, Dataset) else Dataset._from_finite(values, data)
+        dataset = data
+        if not isinstance(data, Dataset):
+            dataset = Dataset._from_finite(values, _made_from(values, data))
         last = _last_seen = (dataset, _statistics(dataset))
     return _analysis_from(*last, calibration)
 
@@ -280,8 +281,7 @@ def _profiles(a: _Analysis, lam: float) -> _Profiles:
     scale = a.calibration.trace_hat
     mean_std = weight * a.mean_result.per_tau.values[taus - 2] / math.sqrt(2.0 * scale)
     cov_std = weight * a.cov_result.per_tau.values[taus - 4] / (2.0 * scale)
-    mean_term = -2.0 * normal_log_sf(mean_std)
-    cov_term = -2.0 * normal_log_sf(cov_std)
+    mean_term, cov_term = -2.0 * normal_log_sf(np.stack([mean_std, cov_std]))
     return _Profiles(grid, taus, mean_term, cov_term, mean_term + cov_term)
 
 

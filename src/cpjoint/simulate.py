@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
@@ -267,9 +266,14 @@ def run_experiment(
     if workers == 1:
         results = [_one_rep(job) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         # Forked workers inherit the filled root cache instead of each
-        # recomputing the roots.
+        # recomputing the roots, and the loaded gamma tail instead of each
+        # importing scipy.
         _roots(model, "spectral")
+        if calibration == "finite_sample":
+            import scipy.special  # noqa: F401
         chunk = max(1, reps // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_one_rep, jobs, chunksize=chunk))

@@ -8,6 +8,11 @@ double range, and the combiner has an entry point that consumes log
 p-values directly.
 ``skewed_log_sf`` is the finite-sample counterpart for a skewed score,
 finite in the same way.
+
+The normal tail rests on the standard library's ``math.erfc``, so the
+plug-in analyses run on numpy and the standard library alone.  scipy is
+imported only by the functions that need its special functions: the
+gamma tail of ``skewed_log_sf`` and ``chi2_4_quantile``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import chdtri, gammainc, gammaincc, gammaln, log_ndtr, ndtr
 
 from .errors import (
     AlphaRangeError,
@@ -33,6 +37,14 @@ BELOW_ONE = math.nextafter(1.0, 0.0)
 _GAMMA_TAIL_SWITCH = 1e-300
 _CF_FLOOR = 1e-300
 
+_SQRT1_2 = math.sqrt(0.5)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# From here on erfc(x / sqrt(2)) / 2 nears the bottom of the normal doubles
+# (5.7e-300 at 37), and the log tail comes from the asymptotic series.
+_SERIES_FROM = 37.0
+# (-1)^k (2k - 1)!! for k = 6 down to 1.
+_MILLS_SERIES = (10395.0, -945.0, 105.0, -15.0, 3.0, -1.0)
+
 
 def clamp_prob(p: float) -> float:
     """``p`` moved into the open interval (0, 1), as a Python float."""
@@ -46,29 +58,76 @@ def _validate_finite(x) -> np.ndarray:
     return arr
 
 
+def _erfc(v: np.ndarray) -> np.ndarray:
+    """``math.erfc`` of every element of a float64 array (numpy has no erfc)."""
+    v = np.asarray(v)
+    out = np.fromiter(map(math.erfc, v.ravel().tolist()), np.float64, v.size)
+    return out.reshape(v.shape)
+
+
 def normal_sf(x):
     """Upper tail 1 - Phi(x) of the standard normal, always inside (0, 1).
 
-    scipy's ``ndtr(-x)``, accurate to a few ulps while the value is a
-    normal double, clamped away from exact 0 and 1.  From x of about 37.7
-    on, where the exact tail is below 6e-311, ``ndtr`` returns 0 and the
-    result is the smallest positive double; ``normal_log_sf`` stays exact
-    there.  Accepts scalars or arrays.
+    erfc(x / sqrt(2)) / 2 from the standard library's ``math.erfc``,
+    clamped away from exact 0 and 1.  The rounding of x / sqrt(2) makes
+    the relative error grow like x^2 * 2^-53: about 1e-13 near x = 37.
+    Beyond x of about 37.5 the tail is a subnormal double with fewer
+    digits, and from about 38.5 on erfc underflows and the result is the
+    smallest positive double; ``normal_log_sf`` stays accurate there.
+    Accepts scalars or arrays.
     """
-    out = np.clip(ndtr(-_validate_finite(x)), TINY, BELOW_ONE)
+    out = np.clip(0.5 * _erfc(_validate_finite(x) * _SQRT1_2), TINY, BELOW_ONE)
     return float(out) if out.ndim == 0 else out
 
 
 def normal_log_sf(x):
-    """log(1 - Phi(x)), from scipy's ``log_ndtr(-x)``.
+    """log(1 - Phi(x)), finite up to x of about 1.9e154.
 
-    Accurate to a few ulps and finite up to x of about 1.9e154, so scores
-    in the hundreds still produce a usable log tail.  Beyond that the true
-    value, about -x^2 / 2, is below -DBL_MAX and the correctly rounded
-    result -inf is returned, without a warning.  Accepts scalars or arrays.
+    With q = erfc(|x| / sqrt(2)) / 2, the tail beyond |x|, the value is
+    log1p(-q) for x < 0 and log(q) for 0 <= x < 37, where q is still a
+    normal double.  From x = 37 on it is the Mills-ratio asymptotic series
+    (Abramowitz & Stegun 26.2.12) in log space, -x^2/2 - log(x)
+    - log(2 pi)/2 + log1p(s), which scipy's ``log_ndtr`` uses too.
+    Wherever the result is a normal double its relative error stays within
+    a few times 1e-13.  Beyond about 1.9e154
+    the true value, about -x^2 / 2, is below -DBL_MAX and the correctly
+    rounded result -inf is returned, without a warning.  Accepts scalars
+    or arrays.
     """
-    out = log_ndtr(-_validate_finite(x))
+    arr = _validate_finite(x)
+    far = arr >= _SERIES_FROM
+    if far.any():
+        out = np.empty_like(arr)
+        out[far] = _log_sf_series(arr[far])
+        out[~far] = _log_sf_erfc(arr[~far])
+    else:
+        out = _log_sf_erfc(arr)
     return float(out) if out.ndim == 0 else out
+
+
+def _log_sf_erfc(x: np.ndarray) -> np.ndarray:
+    """log(1 - Phi(x)) for x < 37 from ``math.erfc``."""
+    q = 0.5 * _erfc(np.abs(x) * _SQRT1_2)      # the tail beyond |x|
+    below = x < 0.0
+    out = np.log1p(-q, out=np.empty_like(q), where=below)
+    return np.log(q, out=out, where=~below)
+
+
+def _log_sf_series(x: np.ndarray) -> np.ndarray:
+    """log(1 - Phi(x)) for x >= 37 from the asymptotic series of the Mills ratio.
+
+    1 - Phi(x) = phi(x) / x * (1 + s) with s = sum over k >= 1 of
+    (-1)^k (2k - 1)!! / x^(2k).  The terms decrease while 2k - 1 < x^2;
+    from x = 37 on, every term past the sixth is below 2^-53.
+    """
+    inv_sq = 1.0 / x / x
+    s = np.zeros_like(x)
+    for coeff in _MILLS_SERIES:           # Horner's rule in 1 / x^2
+        s += coeff
+        s *= inv_sq
+    with np.errstate(over="ignore"):      # x^2 / 2 > DBL_MAX: the log tail is -inf
+        head = -0.5 * x * x
+    return head - np.log(x) - _LOG_SQRT_2PI + np.log1p(s)
 
 
 def _log_gammaincc_cf(a: float, x: np.ndarray) -> np.ndarray:
@@ -79,6 +138,8 @@ def _log_gammaincc_cf(a: float, x: np.ndarray) -> np.ndarray:
     finite long after Q itself underflows.  Far in the tail, where it is
     used, it converges in a handful of terms.
     """
+    from scipy.special import gammaln
+
     b = x + 1.0 - a
     c = np.full_like(x, 1.0 / _CF_FLOOR)
     d = 1.0 / b
@@ -117,6 +178,8 @@ def skewed_log_sf(z, skew: float):
         raise NonFiniteValueError("skew must be finite")
     if skew <= 0.0:
         return normal_log_sf(arr)
+    from scipy.special import gammainc, gammaincc
+
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     # chi2_nu / 2 is Gamma(a) with a = nu / 2; the threshold halves with it.
@@ -173,4 +236,6 @@ def chi2_4_quantile(alpha: float) -> float:
     """The t with chi2_4_sf(t) = alpha, from scipy's ``chdtri``."""
     if not (0.0 < alpha < 1.0):
         raise AlphaRangeError(f"alpha={alpha} not strictly inside (0, 1)")
+    from scipy.special import chdtri
+
     return float(chdtri(4, alpha))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cpjoint import detect, mean_stat_curve, pipeline, trace_sigma2_hat, trace_sigma3_hat
+from cpjoint import cli, detect, mean_stat_curve, pipeline, trace_sigma2_hat, trace_sigma3_hat
 from cpjoint.cli import read_matrix_csv
 
 # 64 x 20000 doubles, 10.24 MB: a quarter of it is well above the stages'
@@ -47,8 +47,20 @@ def test_detect_on_float32_holds_one_float64_copy(wide, monkeypatch):
     assert traced_peak(detect, wide.astype(np.float32)) < 1.25 * wide.nbytes
 
 
-def test_csv_reader_holds_little_beside_the_result(tmp_path):
-    path = tmp_path / "wide.csv"
+@pytest.fixture(scope="module")
+def wide_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "wide.csv"
     np.savetxt(path, np.random.default_rng(3).standard_normal((200, 2000)),
                fmt="%.17g", delimiter=",")
-    assert traced_peak(read_matrix_csv, str(path)) <= 1.5 * 200 * 2000 * 8
+    return str(path)
+
+
+def test_csv_reader_holds_little_beside_the_result(wide_csv):
+    assert traced_peak(read_matrix_csv, wide_csv) <= 1.5 * 200 * 2000 * 8
+
+
+def test_cli_detect_keeps_the_parsed_matrix_as_the_dataset(wide_csv, monkeypatch, capsys):
+    # A second copy of the parsed matrix would take the peak to about 2x.
+    monkeypatch.setattr(pipeline, "_last_seen", None)
+    assert traced_peak(cli.main, ["detect", wide_csv]) <= 1.5 * 200 * 2000 * 8
+    assert '"command": "detect"' in capsys.readouterr().out

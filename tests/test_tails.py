@@ -120,6 +120,96 @@ class TestNormalLogSf:
             assert normal_log_sf(1e300) == -math.inf
 
 
+# Fixed before measuring: rounding x / sqrt(2) costs about x^2 * 2^-53
+# relative, 2.2e-13 at |x| = 45.
+NORMAL_TAIL_REL = 5e-13
+SMALLEST_NORMAL = np.finfo(np.float64).tiny
+
+
+def _normal_tail_oracle(x):
+    """(1 - Phi(x), log(1 - Phi(x))) at 60 digits, each rounded to double."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        x = mpmath.mpf(x)
+        upper = mpmath.erfc(abs(x) / mpmath.sqrt(2)) / 2     # the tail beyond |x|
+        if x < 0:
+            # log(1 - upper) keeps few digits near x = -15 and none below -17.
+            return float(1 - upper), float(mpmath.log1p(-upper))
+        return float(upper), float(mpmath.log(upper))
+
+
+def _rel(a, b):
+    return np.abs(np.asarray(a) - b) / np.abs(b)
+
+
+class TestNormalTailOracles:
+    """The erfc-based tail against scipy's ndtr / log_ndtr and against mpmath."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return np.concatenate(
+            [np.linspace(-40.0, 45.0, 170_001), np.geomspace(45.0, 1e150, 2_000)]
+        )
+
+    def test_log_sf_matches_scipy(self, grid):
+        from scipy.special import log_ndtr
+
+        expected = log_ndtr(-grid)
+        normal = np.abs(expected) >= SMALLEST_NORMAL
+        assert normal[grid > -37.0].all()
+        got = normal_log_sf(grid)
+        assert _rel(got[normal], expected[normal]).max() <= NORMAL_TAIL_REL
+
+    def test_sf_matches_scipy(self, grid):
+        from scipy.special import ndtr
+
+        expected = ndtr(-grid)
+        normal = (expected >= SMALLEST_NORMAL) & (expected < 1.0)
+        got = normal_sf(grid)
+        assert _rel(got[normal], expected[normal]).max() <= NORMAL_TAIL_REL
+        assert (got[expected == 1.0] == math.nextafter(1.0, 0.0)).all()
+        assert (got[expected < SMALLEST_NORMAL] <= SMALLEST_NORMAL).all()
+
+    def test_matches_mpmath(self):
+        points = np.concatenate([
+            np.linspace(-37.0, 45.0, 165),
+            [-15.0, -1e-3, 1e-3, math.nextafter(37.0, 0.0), 37.0, 37.001,
+             60.0, 1e3, 1e6, 1e50, 1e150],
+        ])
+        for x in points:
+            sf, log_sf = _normal_tail_oracle(x)
+            assert _rel(normal_log_sf(x), log_sf) <= NORMAL_TAIL_REL, x
+            if sf >= SMALLEST_NORMAL:
+                assert _rel(normal_sf(x), sf) <= NORMAL_TAIL_REL, x
+
+    def test_non_increasing_across_series_switch(self):
+        grid = np.concatenate([
+            np.linspace(36.0, 38.0, 200_001),
+            np.nextafter(37.0, np.inf) + np.arange(-50, 50) * math.ulp(37.0),
+        ])
+        grid.sort()
+        values = normal_log_sf(grid)
+        assert (np.diff(values) <= 0.0).all()
+        assert (np.diff(normal_log_sf(np.linspace(-40.0, 60.0, 100_001))) <= 0.0).all()
+
+    def test_scalar_and_array_forms(self):
+        for x in (-3.0, 0.0, 3.0, 40.0):
+            assert isinstance(normal_sf(x), float)
+            assert isinstance(normal_log_sf(x), float)
+        grid = np.array([[-3.0, 0.0], [3.0, 40.0]])
+        assert normal_log_sf(grid).shape == (2, 2)
+        assert normal_log_sf(grid)[1, 1] == normal_log_sf(40.0)
+        assert normal_sf(grid)[1, 0] == normal_sf(3.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        for fn in (normal_sf, normal_log_sf):
+            with pytest.raises(NonFiniteValueError):
+                fn(bad)
+            with pytest.raises(NonFiniteValueError):
+                fn(np.array([0.0, bad]))
+
+
 def _chi2_log_sf_oracle(z, skew):
     """log P(chi2_nu >= nu + z sqrt(2 nu)), nu = 8 / skew^2, at 50 digits."""
     mpmath = pytest.importorskip("mpmath")
