@@ -8,7 +8,7 @@ through the Fisher p-value combiner; the same fusion applied per candidate
 split yields the changepoint estimator.
 """
 
-from .data import Dataset, GramMatrix, StatCurve, dataset_from_matrix, gram
+from .data import Dataset, StatCurve, dataset_from_matrix, gram
 from .errors import (
     AlphaRangeError,
     BadParamError,
@@ -22,7 +22,6 @@ from .errors import (
     NotSymmetricError,
     PValueRangeError,
     SampleTooSmallError,
-    TauRangeError,
     TooFewObservationsError,
 )
 from .mean_shift import MeanStatResult, mean_stat_curve
@@ -36,12 +35,9 @@ from .scale import (
     trace_sigma3_hat,
 )
 from .tails import (
-    chi2_4_quantile,
     chi2_4_sf,
-    fisher_combine,
     fisher_combine_log,
     normal_log_sf,
-    normal_sf,
     skewed_log_sf,
 )
 from .pipeline import (
@@ -84,7 +80,6 @@ __all__ = [
     "EmptyGridError",
     "ErrorDist",
     "ExperimentReport",
-    "GramMatrix",
     "LocalizationOutcome",
     "MEAN_VAR_COEFF",
     "MeanStatResult",
@@ -99,19 +94,16 @@ __all__ = [
     "SampleTooSmallError",
     "SimulationModel",
     "StatCurve",
-    "TauRangeError",
     "TestOutcome",
     "TooFewObservationsError",
     "baselines",
     "build_cov",
     "calibrate",
-    "chi2_4_quantile",
     "chi2_4_sf",
     "cov_sqrt",
     "cov_stat_curve",
     "dataset_from_matrix",
     "detect",
-    "fisher_combine",
     "fisher_combine_log",
     "gen_dataset",
     "gram",
@@ -119,7 +111,6 @@ __all__ = [
     "mean_stat_curve",
     "mix_seed",
     "normal_log_sf",
-    "normal_sf",
     "run_experiment",
     "skewed_log_sf",
     "trace_sigma2_hat",

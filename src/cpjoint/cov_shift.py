@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import GramMatrix, StatCurve, as_matrix, gram
+from .data import StatCurve, as_matrix, gram
 from .errors import SampleTooSmallError
 
 #: The feature path runs when n >= _FEATURE_ROWS_PER_COLUMN * p.  Set on a
@@ -96,7 +96,7 @@ def _block_masks(width: int, dtype: np.dtype) -> np.ndarray:
     return masks
 
 
-def _sweep_terms(g: GramMatrix) -> _SweepTerms:
+def _sweep_terms(g: np.ndarray) -> _SweepTerms:
     """The thirteen sums from the Gram matrix, swept in blocks of columns.
 
     The two-index sums follow from the column sums of g and g^2 above and
@@ -303,7 +303,7 @@ def _curve(terms: _SweepTerms, n: int) -> CovStatResult:
     return CovStatResult(StatCurve(4, n - 4, per_tau), aggregate)
 
 
-def cov_stat_curve(data, g: GramMatrix | None = None) -> CovStatResult:
+def cov_stat_curve(data, g: np.ndarray | None = None) -> CovStatResult:
     """Covariance-shift statistic at every split, plus the weighted aggregate.
 
     The aggregate sums tau * (n - tau) / n times the per-split value over

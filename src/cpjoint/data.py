@@ -12,9 +12,6 @@ from .errors import NonFiniteValueError, NotAMatrixError, TooFewObservationsErro
 # trace estimator need at least 8 rows.
 MIN_OBSERVATIONS = 8
 
-#: Gram matrices are plain symmetric ndarrays; the alias only documents intent.
-GramMatrix = np.ndarray
-
 
 def _finite_matrix(values) -> np.ndarray:
     """values as a finite 2-d float64 array, or a typed error that names the fault."""
@@ -107,7 +104,7 @@ def as_matrix(data) -> np.ndarray:
     return _finite_matrix(data)
 
 
-def gram(data) -> GramMatrix:
+def gram(data) -> np.ndarray:
     """Pairwise inner products g[i, j] = x_i . x_j of all observation rows.
 
     The result is exactly symmetric as stored, g[i, j] == g[j, i] bitwise:

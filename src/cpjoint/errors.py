@@ -21,10 +21,6 @@ class SampleTooSmallError(CpjointError, ValueError):
     """An operation needs more observations than were supplied."""
 
 
-class TauRangeError(CpjointError, ValueError):
-    """A candidate split index lies outside its valid range."""
-
-
 class PValueRangeError(CpjointError, ValueError):
     """A p-value is not strictly inside (0, 1)."""
 

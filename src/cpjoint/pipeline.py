@@ -114,7 +114,6 @@ class _Analysis(NamedTuple):
     """Shared single-pass computation behind detect/localize/baselines."""
 
     n: int
-    p: int
     mean_result: MeanStatResult
     cov_result: CovStatResult
     calibration: Calibration
@@ -168,7 +167,7 @@ def _analysis_from(
     # p_combined lives in (0, 1]: exactly 1 at t_n = 0, never exactly 0.
     p_combined = max(chi2_4_sf(t_n), TINY)
     return _Analysis(
-        data.n, data.p, mean_result, cov_result, calib,
+        data.n, mean_result, cov_result, calib,
         z_mean, z_cov, log_p_mean, log_p_cov, t_n, p_combined,
     )
 

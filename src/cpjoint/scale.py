@@ -104,29 +104,16 @@ def trace_sigma3_hat(data) -> float:
     return float(np.sum(prods) / (8.0 * (n - 5)))
 
 
-# Columns of the mean-aggregate kernel formed at a time by _mean_kernel_skew.
-_KERNEL_BLOCK = 64
-
-
-def _exclusive_cumsum(v: np.ndarray, reverse: bool = False) -> np.ndarray:
-    """Row k holds the sum of the rows of v before k (after k when reverse)."""
-    out = np.zeros_like(v)
-    if reverse:
-        out[:-1] = np.cumsum(v[:0:-1], axis=0)[::-1]
-    else:
-        out[1:] = np.cumsum(v[:-1], axis=0)
-    return out
-
-
 @functools.lru_cache(maxsize=16)
 def _mean_kernel_skew(n: int) -> float:
     """tr(S^3) / (tr(S^2) / 2)^{3/2}, S the symmetric mean-aggregate kernel.
 
-    The aggregate is sum_{i<k} a_ik x_i . x_k with a_ik = c1 (L_i + R_k) + c0,
-    and S = a + a^T.  That structure gives S @ V from four prefix and suffix
-    sums, so tr(S^2) = sum S_ik^2 and tr(S^3) = sum (S @ S) * S are summed
-    over blocks of S's columns: O(n^2) time and O(n * block) memory, once
-    per n.
+    The aggregate is sum_{i<k} a_ik x_i . x_k with a_ik = P_i + Q_k,
+    P = c1 L + c0 and Q = c1 R, and S = a + a^T has a zero diagonal.  So
+    tr(S^2) = 2 sum_{i<k} (P_i + Q_k)^2 and
+    tr(S^3) = 6 sum_{i<j<k} (P_i + Q_j)(P_j + Q_k)(P_i + Q_k).  Summing
+    over i first leaves prefix sums of 1, P and P^2 at each j, and summing
+    over j < k then leaves prefix sums at each k: O(n) time and memory.
     """
     taus = np.arange(2, n - 1, dtype=np.float64)
     # left[i] sums 1 / (n - tau - 1) over the splits tau <= i, which put
@@ -138,22 +125,23 @@ def _mean_kernel_skew(n: int) -> float:
     right[1 : n - 2] = np.cumsum((1.0 / (taus - 1.0))[::-1])[::-1]
     c1 = 2.0 * (1.0 - 1.0 / n)
     c0 = 6.0 / n - 2.0
-    left_c, right_c = (c1 * left + c0)[:, None], (c1 * right + c0)[:, None]
+    p, q = c1 * left + c0, c1 * right
 
-    rows = np.arange(n)[:, None]
-    tr2 = tr3 = 0.0
-    for start in range(0, n, _KERNEL_BLOCK):
-        cols = np.arange(start, min(start + _KERNEL_BLOCK, n))
-        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-        block = np.where(rows == cols, 0.0, c1 * (left[lo] + right[hi]) + c0)
-        product = (
-            left_c * _exclusive_cumsum(block, reverse=True)
-            + c1 * _exclusive_cumsum(right[:, None] * block, reverse=True)
-            + right_c * _exclusive_cumsum(block)
-            + c1 * _exclusive_cumsum(left[:, None] * block)
-        )
-        tr2 += float(np.sum(block * block))
-        tr3 += float(np.sum(product * block))
+    # Sums over i < j of 1, P_i and P_i^2, for j = 1 .. n - 1.
+    s0 = np.arange(1.0, n)
+    s1 = np.cumsum(p)[:-1]
+    s2 = np.cumsum(p * p)[:-1]
+    pj, qj, qk = p[1:], q[1:], q[2:]
+    tr2 = 2.0 * (np.sum(s2) + 2.0 * (s1 @ qj) + s0 @ (qj * qj))
+    # sum_{i<j} (P_i + Q_j)(P_i + Q_k) = u_j + v_j Q_k; times (P_j + Q_k),
+    # summed over j < k.
+    u = s2 + s1 * qj
+    v = s1 + s0 * qj
+    tr3 = 6.0 * (
+        np.sum(np.cumsum(pj * u)[:-1])
+        + np.cumsum(u + pj * v)[:-1] @ qk
+        + np.cumsum(v)[:-1] @ (qk * qk)
+    )
     return tr3 / (0.5 * tr2) ** 1.5
 
 

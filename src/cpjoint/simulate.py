@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .data import Dataset, dataset_from_matrix
+from .data import Dataset, _finite_matrix
 from .errors import BadParamError, NotPSDError, NotSymmetricError
 from .pipeline import Method, _analyze, _check_calibration, _decide
 
@@ -54,8 +54,8 @@ class CovSpec:
     def __post_init__(self) -> None:
         if not -1.0 < self.corr < 1.0:
             raise BadParamError(f"correlation {self.corr} outside (-1, 1)")
-        if not self.scale > 0.0:
-            raise BadParamError(f"scale {self.scale} must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise BadParamError(f"scale {self.scale} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,10 @@ class SimulationModel:
             raise BadParamError(
                 f"tau_star={self.tau_star} outside [1, {self.n - 1}]"
             )
-        if not self.delta2 > 0.0:
-            raise BadParamError(f"delta2={self.delta2} must be positive")
+        if not math.isfinite(self.delta1):
+            raise BadParamError(f"delta1={self.delta1} must be finite")
+        if not 0.0 < self.delta2 < math.inf:
+            raise BadParamError(f"delta2={self.delta2} must be positive and finite")
         if not 0 <= self.seed <= _MASK64:
             raise BadParamError("seed must fit in 64 unsigned bits")
 
@@ -188,12 +190,14 @@ def gen_dataset(model: SimulationModel, sqrt_method: str = "spectral") -> Datase
     tau = model.n if model.tau_star is None else model.tau_star
 
     pre_root, post_root = _roots(model, sqrt_method)
+    # Products go straight into x, which is private to this call, so the
+    # Dataset keeps it: no n x p temporary or copy beside errors and x.
     x = np.empty((model.n, model.p))
-    x[:tau] = errors[:tau] @ pre_root.T
+    np.matmul(errors[:tau], pre_root.T, out=x[:tau])
     if tau < model.n:
-        shift = model.delta1 / math.sqrt(model.p)
-        x[tau:] = errors[tau:] @ post_root.T + shift
-    return dataset_from_matrix(x)
+        np.matmul(errors[tau:], post_root.T, out=x[tau:])
+        x[tau:] += model.delta1 / math.sqrt(model.p)
+    return Dataset._from_finite(_finite_matrix(x), owned=True)
 
 
 @dataclass(frozen=True)

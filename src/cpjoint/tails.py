@@ -10,9 +10,9 @@ p-values directly.
 finite in the same way.
 
 The normal tail rests on the standard library's ``math.erfc``, so the
-plug-in analyses run on numpy and the standard library alone.  scipy is
-imported only by the functions that need its special functions: the
-gamma tail of ``skewed_log_sf`` and ``chi2_4_quantile``.
+plug-in analyses run on numpy and the standard library alone.  scipy
+loads only for the finite-sample calibration: the gamma tail of
+``skewed_log_sf`` is its one user.
 """
 
 from __future__ import annotations
@@ -21,12 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    AlphaRangeError,
-    NegativeInputError,
-    NonFiniteValueError,
-    PValueRangeError,
-)
+from .errors import NegativeInputError, NonFiniteValueError, PValueRangeError
 
 #: The open interval (0, 1) every displayed probability is clamped into.
 TINY = math.ulp(0.0)                # smallest positive double
@@ -63,21 +58,6 @@ def _erfc(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v)
     out = np.fromiter(map(math.erfc, v.ravel().tolist()), np.float64, v.size)
     return out.reshape(v.shape)
-
-
-def normal_sf(x):
-    """Upper tail 1 - Phi(x) of the standard normal, always inside (0, 1).
-
-    erfc(x / sqrt(2)) / 2 from the standard library's ``math.erfc``,
-    clamped away from exact 0 and 1.  The rounding of x / sqrt(2) makes
-    the relative error grow like x^2 * 2^-53: about 1e-13 near x = 37.
-    Beyond x of about 37.5 the tail is a subnormal double with fewer
-    digits, and from about 38.5 on erfc underflows and the result is the
-    smallest positive double; ``normal_log_sf`` stays accurate there.
-    Accepts scalars or arrays.
-    """
-    out = np.clip(0.5 * _erfc(_validate_finite(x) * _SQRT1_2), TINY, BELOW_ONE)
-    return float(out) if out.ndim == 0 else out
 
 
 def normal_log_sf(x):
@@ -202,14 +182,6 @@ def skewed_log_sf(z, skew: float):
     return float(out[0]) if scalar else out
 
 
-def fisher_combine(p_mean: float, p_cov: float) -> float:
-    """Fisher combination -2 log(p_mean) - 2 log(p_cov) of two p-values."""
-    for name, p in (("p_mean", p_mean), ("p_cov", p_cov)):
-        if not (0.0 < p < 1.0):
-            raise PValueRangeError(f"{name}={p} not strictly inside (0, 1)")
-    return -2.0 * (math.log(p_mean) + math.log(p_cov))
-
-
 def fisher_combine_log(log_p_mean: float, log_p_cov: float) -> float:
     """Fisher combination from log p-values, immune to p-value underflow.
 
@@ -230,12 +202,3 @@ def chi2_4_sf(t: float) -> float:
         raise NegativeInputError(f"t={t} must be nonnegative")
     # Same closed form, evaluated in log space so large t degrades gracefully.
     return math.exp(-0.5 * t + math.log1p(0.5 * t))
-
-
-def chi2_4_quantile(alpha: float) -> float:
-    """The t with chi2_4_sf(t) = alpha, from scipy's ``chdtri``."""
-    if not (0.0 < alpha < 1.0):
-        raise AlphaRangeError(f"alpha={alpha} not strictly inside (0, 1)")
-    from scipy.special import chdtri
-
-    return float(chdtri(4, alpha))

@@ -6,20 +6,36 @@ keep them from ever being run at experiment scale.  The exception is the
 pair of unblocked trace estimators: single-pass forms over all n - 1
 differences, which the row-blocked estimators must match bit for bit, and
 the CSV reader that builds one Python float per cell.
+
+The p-value forms of the tails (``normal_sf``, ``fisher_combine`` and
+``chi2_4_quantile``) are oracles for the log-space functions the package
+ships; the package itself never needs them.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
 from cpjoint.cli import CsvFormatError
 from cpjoint.data import as_matrix
-from cpjoint.errors import NotSymmetricError, SampleTooSmallError, TauRangeError
+from cpjoint.errors import (
+    AlphaRangeError,
+    CpjointError,
+    NotSymmetricError,
+    PValueRangeError,
+    SampleTooSmallError,
+)
+from cpjoint.tails import BELOW_ONE, TINY, _erfc, _validate_finite
 
 _MAX_N_MEAN = 24
 _MAX_N_COV = 16
+
+
+class TauRangeError(CpjointError, ValueError):
+    """A candidate split index lies outside its valid range."""
 
 
 def naive_mean_stat(data, tau: int) -> float:
@@ -165,6 +181,36 @@ def mean_coefficients(n: int) -> np.ndarray:
     const = 6.0 / n - 2.0
     one_based = scale * np.add.outer(left, right) + const
     return np.triu(one_based[1:, 1:], k=1)
+
+
+def normal_sf(x):
+    """Upper tail 1 - Phi(x) of the standard normal, always inside (0, 1).
+
+    erfc(x / sqrt(2)) / 2 from the standard library's ``math.erfc``,
+    clamped away from exact 0 and 1.  The rounding of x / sqrt(2) makes
+    the relative error grow like x^2 * 2^-53: about 1e-13 near x = 37.
+    From about 38.5 on erfc underflows and the result is the smallest
+    positive double.  Accepts scalars or arrays.
+    """
+    out = np.clip(0.5 * _erfc(_validate_finite(x) * math.sqrt(0.5)), TINY, BELOW_ONE)
+    return float(out) if out.ndim == 0 else out
+
+
+def fisher_combine(p_mean: float, p_cov: float) -> float:
+    """Fisher combination -2 log(p_mean) - 2 log(p_cov) of two p-values."""
+    for name, p in (("p_mean", p_mean), ("p_cov", p_cov)):
+        if not (0.0 < p < 1.0):
+            raise PValueRangeError(f"{name}={p} not strictly inside (0, 1)")
+    return -2.0 * (math.log(p_mean) + math.log(p_cov))
+
+
+def chi2_4_quantile(alpha: float) -> float:
+    """The t with chi2_4_sf(t) = alpha, from scipy's ``chdtri``."""
+    if not (0.0 < alpha < 1.0):
+        raise AlphaRangeError(f"alpha={alpha} not strictly inside (0, 1)")
+    from scipy.special import chdtri
+
+    return float(chdtri(4, alpha))
 
 
 def naive_read_matrix_csv(path: str) -> np.ndarray:

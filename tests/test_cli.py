@@ -222,6 +222,16 @@ class TestDetectCommand:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("option", ["--delta1", "--delta2"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_bad_simulate_parameter_exits_one_without_traceback(self, capsys, option, value):
+        argv = ["simulate", "--n", "20", "--p", "5", "--tau-frac", "0.5", option, value]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert option.lstrip("-") in err
+        assert "Traceback" not in err
+
     def test_non_utf8_names_file_and_offset(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"1.5,2.5\n" * 2000 + b"3.5,\xe94\n")

@@ -1,4 +1,7 @@
-"""What a fresh process loads: the plug-in paths run without scipy or a process pool.
+"""What ``import cpjoint`` exports, and what a fresh process loads.
+
+The public names are pinned, so adding or dropping a re-export is a
+deliberate change to this list.
 
 scipy and the process pool take most of the start-up time of a short
 command, so they are imported only by the calls that use them.  The check
@@ -11,8 +14,43 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+import cpjoint
 
 ROOT = Path(__file__).resolve().parents[1]
+
+PUBLIC_API = [
+    "AlphaRangeError", "BadParamError", "BaselineOutcome", "COV_VAR_COEFF",
+    "Calibration", "CovScenario", "CovSpec", "CovStatResult", "CpjointError",
+    "Dataset", "DegenerateScaleError", "EmptyGridError", "ErrorDist",
+    "ExperimentReport", "LocalizationOutcome", "MEAN_VAR_COEFF",
+    "MeanStatResult", "Method", "MethodResult", "NegativeInputError",
+    "NonFiniteValueError", "NotAMatrixError", "NotPSDError",
+    "NotSymmetricError", "PValueRangeError", "SampleTooSmallError",
+    "SimulationModel", "StatCurve", "TestOutcome", "TooFewObservationsError",
+    "baselines", "build_cov", "calibrate", "chi2_4_sf", "cov_sqrt",
+    "cov_stat_curve", "dataset_from_matrix", "detect", "fisher_combine_log",
+    "gen_dataset", "gram", "localize", "mean_stat_curve", "mix_seed",
+    "normal_log_sf", "run_experiment", "skewed_log_sf", "trace_sigma2_hat",
+    "trace_sigma3_hat",
+]
+
+
+def test_public_api():
+    assert sorted(cpjoint.__all__) == PUBLIC_API
+    for name in PUBLIC_API:
+        assert getattr(cpjoint, name) is not None, name
+
+
+# Oracles and aliases that only tests used; the oracles live in tests/naive.py.
+@pytest.mark.parametrize(
+    "name",
+    ["TauRangeError", "fisher_combine", "chi2_4_quantile", "normal_sf", "GramMatrix"],
+)
+def test_test_only_names_are_not_exported(name):
+    with pytest.raises(ImportError):
+        exec(f"from cpjoint import {name}", {})
 
 CHILD = """
 import io

@@ -1,11 +1,22 @@
-"""Traced peak memory of the O(np) stages, detect and the CSV reader when p >> n."""
+"""Traced peak memory of the O(np) stages, detect, the CSV reader and data generation."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cpjoint import cli, detect, mean_stat_curve, pipeline, trace_sigma2_hat, trace_sigma3_hat
+from cpjoint import (
+    CovScenario,
+    ErrorDist,
+    SimulationModel,
+    cli,
+    detect,
+    gen_dataset,
+    mean_stat_curve,
+    pipeline,
+    trace_sigma2_hat,
+    trace_sigma3_hat,
+)
 from cpjoint.cli import read_matrix_csv
 
 # 64 x 20000 doubles, 10.24 MB: a quarter of it is well above the stages'
@@ -64,3 +75,14 @@ def test_cli_detect_keeps_the_parsed_matrix_as_the_dataset(wide_csv, monkeypatch
     monkeypatch.setattr(pipeline, "_last_seen", None)
     assert traced_peak(cli.main, ["detect", wide_csv]) <= 1.5 * 200 * 2000 * 8
     assert '"command": "detect"' in capsys.readouterr().out
+
+
+def test_gen_dataset_holds_the_errors_and_the_matrix():
+    # The errors and the matrix are 2x; a product temporary or a copy of
+    # the matrix for the Dataset would take the peak to 2.5x or more.
+    model = SimulationModel(
+        n=200, p=100, tau_star=100, delta1=1.0, delta2=1.5,
+        cov_scenario=CovScenario.AR1, error_dist=ErrorDist.NORMAL, seed=7,
+    )
+    gen_dataset(model)      # builds the cached covariance roots
+    assert traced_peak(gen_dataset, model) < 2.5 * 200 * 100 * 8

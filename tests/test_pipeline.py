@@ -23,9 +23,7 @@ from cpjoint import (
     SimulationModel,
     TooFewObservationsError,
     baselines,
-    chi2_4_quantile,
     detect,
-    fisher_combine,
     localize,
     run_experiment,
     skewed_log_sf,
@@ -38,6 +36,7 @@ from cpjoint.data import StatCurve
 from cpjoint.pipeline import _pick_min_p, _search_grid
 from cpjoint.scale import mean_skewness
 from conftest import rel_err
+from naive import chi2_4_quantile, fisher_combine
 
 
 def _null_data(n=60, p=8, seed=5):

@@ -133,7 +133,7 @@ class TestMeanSkewness:
         expected = np.sum(eig**3) / (0.5 * np.sum(eig**2)) ** 1.5
         assert _mean_kernel_skew(40) == pytest.approx(expected, rel=1e-10)
 
-    @pytest.mark.parametrize("n", [4, 5, 8, 9, 50, 200, 400])
+    @pytest.mark.parametrize("n", [4, 5, 8, 9, 50, 200, 400, 1000])
     def test_kernel_factor_matches_dense_kernel(self, n):
         a = mean_coefficients(n)
         s = a + a.T
@@ -149,6 +149,24 @@ class TestMeanSkewness:
         finally:
             tracemalloc.stop()
         assert peak <= 16e6
+
+    @pytest.mark.parametrize(
+        "n, expected", [(2000, 2.3580246824634554), (5000, 2.361145204590332)]
+    )
+    def test_kernel_factor_matches_blocked_sum(self, n, expected):
+        # Values of the former O(n^2) sum over 64-column blocks of S.
+        assert rel_err(_mean_kernel_skew(n), expected) <= 1e-12
+
+    def test_kernel_factor_memory_is_linear(self):
+        # O(n) arrays: about 2 MB at n = 20000, where one n x 64 block of S
+        # alone is 10 MB.
+        tracemalloc.start()
+        try:
+            _mean_kernel_skew.__wrapped__(20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
 
     def test_kernel_factor_at_paper_size(self):
         assert _mean_kernel_skew(200) == pytest.approx(2.3127, abs=1e-4)

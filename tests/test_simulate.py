@@ -59,6 +59,11 @@ class TestBuildCov:
         with pytest.raises(BadParamError):
             CovSpec(CovScenario.AR1, 0.3, 0.0)
 
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(BadParamError, match="scale"):
+            CovSpec(CovScenario.AR1, 0.3, scale)
+
     @pytest.mark.parametrize("corr", [1.0, -1.0, 1.5])
     def test_correlation_range(self, corr):
         with pytest.raises(BadParamError):
@@ -138,6 +143,14 @@ class TestSimulationModel:
     def test_delta2_positive(self):
         with pytest.raises(BadParamError):
             _model(delta2=0.0)
+
+    @pytest.mark.parametrize("field", ["delta1", "delta2"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_delta_rejected(self, field, value):
+        with pytest.raises(BadParamError, match=f"{field}=.*finite"):
+            _model(**{field: value})
+        with pytest.raises(BadParamError, match=field):
+            _model(tau_star=None, **{field: value})
 
 
 class TestGenDataset:

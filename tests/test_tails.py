@@ -16,14 +16,12 @@ from cpjoint import (
     NegativeInputError,
     NonFiniteValueError,
     PValueRangeError,
-    chi2_4_quantile,
     chi2_4_sf,
-    fisher_combine,
     fisher_combine_log,
     normal_log_sf,
-    normal_sf,
     skewed_log_sf,
 )
+from naive import chi2_4_quantile, fisher_combine, normal_sf
 
 # 0.5 * erfc(x / sqrt(2)) at 60 digits, rounded to double.
 SF_1959963985 = 0.02499999997311843770082113
