@@ -16,9 +16,14 @@ thirteen running index-tuple sums, which two paths compute:
 - the feature path (:func:`_feature_terms`, n >= 4p) writes every sum as
   a polynomial in prefix moments s_t = sum x_i, A_t = sum x_i x_i',
   q_i = |x_i|^2 and u_t = sum q_i x_i, e.g. the sum of g_ij^2 over the
-  prefix is |A_t|_F^2 - sum q_i^2.  It runs on centered columns (the
-  statistic is translation invariant, the sums are not) in O(n p^2) time
-  and O(np + p^2) memory.
+  prefix is |A_t|_F^2 - sum q_i^2.  O(n p^2) time and O(np + p^2) memory.
+
+Both paths compute the sums of the centered rows: the statistic is
+translation invariant, the sums are not, and on raw data far from the
+origin they cancel away the digits of the curve.  A Gram matrix the
+caller passes in is used as given.  Three of the sums, pre1, suf1 and
+cross1, are also the pair sums of the mean-shift curve, which the
+pipeline reads off this sweep.
 
 The sums are exposed for testing because the cancellation-heavy
 four-index identities deserve direct verification against brute force.
@@ -32,16 +37,38 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import StatCurve, as_matrix, gram
+from .data import StatCurve, as_matrix
 from .errors import SampleTooSmallError
 
-#: The feature path runs when n >= _FEATURE_ROWS_PER_COLUMN * p.  Set on a
-#: 2-core box where the unblocked Gram sweep and the feature path were about
-#: even (n = 3p, p = 50 .. 200).  The blocked sweep is faster up to at least
-#: n = 8p at p >= 100, but it keeps the n x n Gram matrix.
+#: The feature path runs when n >= _FEATURE_ROWS_PER_COLUMN * p.  Curve
+#: time (median of 9) and traced peak of each path on a 2-core Xeon:
+#:
+#:     p    n      Gram ms  feature ms   Gram MB  feature MB
+#:     50   2p       0.3       0.8        0.31      0.45
+#:     50   3p       0.8       1.7        0.62      0.54
+#:     50   4p       1.1       2.1        1.04      0.60
+#:     50   6p       2.8       3.3        1.77      0.73
+#:     50   8p       3.4       3.2        2.65      0.86
+#:     100  2p       1.3       3.9        1.04      1.12
+#:     100  3p       1.8       4.8        1.77      1.38
+#:     100  4p       4.3       7.2        2.65      1.62
+#:     100  6p       8.8      10.8        5.29      2.12
+#:     100  8p      15.6      12.8        8.17      2.62
+#:     200  2p       2.9      12.1        2.65      3.43
+#:     200  3p       5.9      20.1        5.29      4.41
+#:     200  4p      22.4      32.8        8.17      5.42
+#:     200  6p      28.3      44.3       16.27      7.51
+#:     200  8p      55.2      59.0       26.97      9.31
+#:
+#: The Gram path is faster up to about 6p and the feature path lighter
+#: from 3p on, so no other switch point wins on both.
 _FEATURE_ROWS_PER_COLUMN = 4
-#: Rows per block of the feature-space sweep, columns per block of the Gram sweep.
+#: Columns per block of the Gram sweep, rows per block of the Gram centering.
 _BLOCK = 128
+#: Rows per block of the feature-space sweep.  Its per-block temporaries
+#: grow with the square of the block: at n = 2000, p = 50 the kernel's
+#: traced peak is 2.14 MB with 64 rows and 2.83 MB with 128, at equal time.
+_FEATURE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -92,6 +119,15 @@ def _block_masks(width: int, dtype: np.dtype) -> np.ndarray:
     """0/1 masks [j <= t, j > t] over a width x width diagonal block."""
     low = np.tri(width, dtype=dtype)
     masks = np.stack((low, 1.0 - low))
+    masks.setflags(write=False)
+    return masks
+
+
+@functools.lru_cache(maxsize=8)
+def _feature_masks(width: int, dtype: np.dtype) -> np.ndarray:
+    """0/1 masks [i < t, i <= t, i <= t] at [t, i] over a width x width block."""
+    low = np.tri(width, dtype=dtype)
+    masks = np.stack((np.tri(width, k=-1, dtype=dtype), low, low))
     masks.setflags(write=False)
     return masks
 
@@ -176,14 +212,6 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def _block_quad(v: np.ndarray, xb: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """v_t' A_t v_t for the rows t of a block.
-
-    A_t is a plus the sum of x_i x_i' over the block's rows i <= t.
-    """
-    return _row_dots(v @ a, v) + (np.tril(v @ xb.T) ** 2).sum(axis=1)
-
-
 class _PrefixMoments(NamedTuple):
     """Index-tuple sums over the prefixes of one row order; row t covers rows 0 .. t.
 
@@ -191,7 +219,8 @@ class _PrefixMoments(NamedTuple):
     are the sums of g_ij / g_ij^2 over distinct i, j in the prefix, path3 the
     sum of g_ij * g_jk over three distinct indices, cross2 the sum of g_ij^2
     with i in the prefix and j outside it, and rest_quad = r_t' A_t r_t with
-    r_t = s_n - s_t the sum of the rows outside the prefix.
+    r_t = s_n - s_t the sum of the rows outside the prefix.  tot_quad holds
+    x_t' A_n x_t, which depends on the row alone.
     """
 
     s: np.ndarray
@@ -200,55 +229,71 @@ class _PrefixMoments(NamedTuple):
     path3: np.ndarray
     cross2: np.ndarray
     rest_quad: np.ndarray
+    tot_quad: np.ndarray
 
 
-def _prefix_moments(x: np.ndarray, a_tot: np.ndarray) -> _PrefixMoments:
+def _prefix_moments(x: np.ndarray, a_tot: np.ndarray,
+                    tot_quad: np.ndarray | None = None) -> _PrefixMoments:
+    """The sums of :class:`_PrefixMoments`; ``tot_quad`` is computed unless given."""
     n, p = x.shape
+    if tot_quad is None:
+        # Before s exists: the n x p product is then no larger than the
+        # backward pass, which holds both passes' s.
+        tot_quad = _row_dots(x @ a_tot, x)
     s = np.cumsum(x, axis=0)
     q = _row_dots(x, x)
     frob = np.empty(n)          # ||A_t||_F^2
-    tot_quad = np.empty(n)      # x_t' A_tot x_t
-    s_quad = np.empty(n)        # s_t' A_t s_t
+    quads = np.empty((2, n))    # s_t' A_t s_t, r_t' A_t r_t
     u_s = np.empty(n)           # u_t' s_t with u_t = sum of q_i x_i
-    rest_quad = np.empty(n)
     a = np.zeros((p, p))        # A_t and u_t at the start of the block
     u = np.zeros(p)
     frob_start = 0.0
-    for lo in range(0, n, _BLOCK):
-        rows = slice(lo, min(lo + _BLOCK, n))
+    masks = _feature_masks(min(_FEATURE_BLOCK, n), x.dtype)
+    w = np.empty((3, min(_FEATURE_BLOCK, n), p))
+    for lo in range(0, n, _FEATURE_BLOCK):
+        rows = slice(lo, min(lo + _FEATURE_BLOCK, n))
         xb, sb, qb = x[rows], s[rows], q[rows]
+        b = xb.shape[0]
+        # Rows t of the block as x_t, s_t and r_t = s_n - s_t: v' a v for
+        # each, plus the squared products with the block's rows j < t (for
+        # x_t) or j <= t (for s_t and r_t).
+        v = w[:, :b]
+        v[0], v[1] = xb, sb
+        np.subtract(s[-1], sb, out=v[2])
+        flat = v.reshape(3 * b, p)
+        vx = (flat @ xb.T).reshape(3, b, b)
+        quad = (np.einsum("ki,ki->k", flat @ a, flat).reshape(3, b)
+                + np.einsum("kti,kti,kti->kt", vx, vx, masks[:, :b, :b]))
         # ||A_t||^2 - ||A_{t-1}||^2 = 2 x_t' A_{t-1} x_t + q_t^2, where
         # A_{t-1} is a plus the block's rows before t: nonnegative steps.
-        step = _row_dots(xb @ a, xb) + (np.tril(xb @ xb.T, -1) ** 2).sum(axis=1)
-        frob[rows] = frob_start + np.cumsum(2.0 * step + qb * qb)
+        frob[rows] = frob_start + np.cumsum(2.0 * quad[0] + qb * qb)
         frob_start = frob[rows][-1]
-        tot_quad[rows] = _row_dots(xb @ a_tot, xb)
-        s_quad[rows] = _block_quad(sb, xb, a)
-        rest_quad[rows] = _block_quad(s[-1] - sb, xb, a)
+        quads[:, rows] = quad[1:]
         ub = u + np.cumsum(qb[:, None] * xb, axis=0)
         u_s[rows] = _row_dots(ub, sb)
         u = ub[-1]
         a += xb.T @ xb
+    s_quad, rest_quad = quads
     q2 = np.cumsum(q * q)
     pair1 = _row_dots(s, s) - np.cumsum(q)
     pair2 = frob - q2
     path3 = s_quad - 2.0 * u_s - frob + 2.0 * q2
     cross2 = np.cumsum(tot_quad) - frob
-    return _PrefixMoments(s, pair1, pair2, path3, cross2, rest_quad)
+    return _PrefixMoments(s, pair1, pair2, path3, cross2, rest_quad, tot_quad)
 
 
 def _feature_terms(x: np.ndarray) -> _SweepTerms:
     """The sums of :func:`_sweep_terms` from p x p moments, without the Gram matrix.
 
     O(n p^2 + n b p) time and O(n p + p^2 + b^2) memory for row blocks of
-    b = _BLOCK.  The suffix sums come from the same prefix pass over the
-    reversed rows rather than as total minus prefix, which would cancel.
+    b = _FEATURE_BLOCK.  The suffix sums come from the same prefix pass over
+    the reversed rows rather than as total minus prefix, which would cancel.
     Accurate for centered x; the sums themselves are not translation invariant.
     """
     n = x.shape[0]
     a_tot = x.T @ x
     fwd = _prefix_moments(x, a_tot)
-    bwd = _prefix_moments(x[::-1], a_tot)
+    bwd = _prefix_moments(x[::-1], a_tot, fwd.tot_quad[::-1])
 
     def after(v: np.ndarray) -> np.ndarray:
         # Row t of the result belongs to rows t+1 .. n-1: row n-2-t of bwd.
@@ -303,6 +348,41 @@ def _curve(terms: _SweepTerms, n: int) -> CovStatResult:
     return CovStatResult(StatCurve(4, n - 4, per_tau), aggregate)
 
 
+def _centered_gram(x: np.ndarray) -> np.ndarray:
+    """The Gram matrix of the column-centered rows, exactly symmetric like ``gram``.
+
+    With m the column means and a = x m, the raw Gram matrix g is centered
+    in place: (x_i - m) . (x_j - m) = g_ij - a_i - a_j + |m|^2.  That form
+    rounds like g, whose entries grow by 1 + |m|^2 / s^2 against the
+    centered ones for s^2 the mean squared norm of the centered rows, so
+    it is taken while |m| <= s: at most one bit lost, and no copy of the
+    data.  Data farther from the origin are centered in one n x p copy.
+    """
+    n = x.shape[0]
+    m = x.mean(axis=0)
+    mm = float(m @ m)
+    # The mean squared row norm is s^2 + |m|^2.
+    if n * mm > 0.5 * float(np.einsum("ij,ij->", x, x)):
+        xc = x - m
+        return xc @ xc.T
+    # Contiguous and aligned, so that x @ x.T is a symmetric syrk (see gram).
+    x = np.require(x, requirements=("C", "A"))
+    g = x @ x.T
+    a = x @ m
+    for lo in range(0, n, _BLOCK):
+        # a_i + a_j == a_j + a_i bitwise, so g stays exactly symmetric.
+        g[lo : lo + _BLOCK] -= (a[lo : lo + _BLOCK, None] + a) - mm
+    return g
+
+
+def _terms(x: np.ndarray, g: np.ndarray | None = None) -> _SweepTerms:
+    """The thirteen sums on the path the shape picks, from centered data unless g is given."""
+    n, p = x.shape
+    if n >= _FEATURE_ROWS_PER_COLUMN * p:
+        return _feature_terms(x - x.mean(axis=0))
+    return _sweep_terms(_centered_gram(x) if g is None else g)
+
+
 def cov_stat_curve(data, g: np.ndarray | None = None) -> CovStatResult:
     """Covariance-shift statistic at every split, plus the weighted aggregate.
 
@@ -314,15 +394,14 @@ def cov_stat_curve(data, g: np.ndarray | None = None) -> CovStatResult:
     data : Dataset or (n, p) array-like
         Time-ordered observations, n >= 8.
     g : ndarray, optional
-        Precomputed ``gram(data)``, used only on the Gram path (n < 4p);
-        pass it when several statistics share one Gram build.
+        Precomputed ``gram(data)``, used only on the Gram path (n < 4p).
+        It is taken as given, on the raw data, so it yields the uncentered
+        statistic: equal in exact arithmetic, but it loses digits to
+        cancellation for data far from the origin.  Without it the Gram
+        matrix is built from the centered columns.
     """
     x = as_matrix(data)
-    n, p = x.shape
+    n = x.shape[0]
     if n < 8:
         raise SampleTooSmallError(f"covariance-shift curve needs n >= 8, got {n}")
-    if n >= _FEATURE_ROWS_PER_COLUMN * p:
-        terms = _feature_terms(x - x.mean(axis=0))
-    else:
-        terms = _sweep_terms(gram(x) if g is None else g)
-    return _curve(terms, n)
+    return _curve(_terms(x, g), n)

@@ -13,8 +13,11 @@ from .errors import NonFiniteValueError, NotAMatrixError, TooFewObservationsErro
 MIN_OBSERVATIONS = 8
 
 
-def _finite_matrix(values) -> np.ndarray:
-    """values as a finite 2-d float64 array, or a typed error that names the fault."""
+def _float_matrix(values) -> np.ndarray:
+    """values as a 2-d float64 array, or a typed error that names the fault.
+
+    Not checked for NaN or Inf: :func:`_finite_matrix` adds that scan.
+    """
     if values is None:
         raise NotAMatrixError("expected a 2-d numeric matrix, got None")
     try:
@@ -30,6 +33,12 @@ def _finite_matrix(values) -> np.ndarray:
         raise NotAMatrixError(f"expected a numeric matrix: {exc}") from None
     if values.ndim != 2:
         raise NotAMatrixError(f"expected a 2-d matrix, got ndim={values.ndim}")
+    return values
+
+
+def _finite_matrix(values) -> np.ndarray:
+    """values as a finite 2-d float64 array, or a typed error that names the fault."""
+    values = _float_matrix(values)
     if not np.isfinite(values).all():
         raise NonFiniteValueError("observation matrix contains NaN or Inf")
     return values

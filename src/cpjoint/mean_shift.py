@@ -10,6 +10,11 @@ prefix sums of centered columns, b = _BLOCK columns at a time: O(np) time
 and O(n b) memory beyond the input.  Centering keeps the prefix sums small
 for data far from the origin, where the statistic, translation invariant
 in exact arithmetic, would otherwise lose its digits to cancellation.
+
+The three pair sums per split are also sums the covariance sweep needs,
+so the pipeline takes the curve from that sweep through :func:`_mean_result`
+and runs no pass of its own for it; :func:`mean_stat_curve` is the cheaper
+route for callers who want the mean curve alone.
 """
 
 from __future__ import annotations
@@ -70,20 +75,28 @@ def mean_stat_curve(data) -> MeanStatResult:
 
     sq_norms = np.cumsum(q)
     q1 = sq_norms[1 : n - 2]
-    n1 = np.arange(2, n - 1, dtype=np.float64)
-    n2 = n - n1
-
     # |s2|^2 and s1 . s2 expanded: safe, since the centered total is at
     # rounding level.
-    within1 = s1_sq - q1
-    within2 = total_sq - 2.0 * s1_total + s1_sq - (sq_norms[-1] - q1)
-    cross = s1_total - s1_sq
+    return _mean_result(
+        s1_sq - q1,
+        total_sq - 2.0 * s1_total + s1_sq - (sq_norms[-1] - q1),
+        s1_total - s1_sq,
+        n,
+    )
+
+
+def _mean_result(within1, within2, cross, n: int) -> MeanStatResult:
+    """Curve and aggregate from three inner-product sums at the splits 2 .. n-2.
+
+    within1 and within2 sum x_i . x_j over distinct i, j before and after
+    the split, cross over i before it and j after it.
+    """
+    n1 = np.arange(2, n - 1, dtype=np.float64)
+    n2 = n - n1
     per_tau = (
         within1 / (n1 * (n1 - 1.0))
         + within2 / (n2 * (n2 - 1.0))
         - 2.0 * cross / (n1 * n2)
     )
-
     aggregate = float(np.dot(n1 * n2 / n, per_tau))
     return MeanStatResult(StatCurve(2, n - 2, per_tau), aggregate)
-

@@ -19,9 +19,13 @@ to the aggregate's estimated null skewness, which is about 0.3 at n=200,
 p=100 and makes the normal tail over-reject.  The covariance side and the
 per-split profiles are the same under both.
 
+Both curves come from one pass: the covariance sweep over the centered
+data also yields the pair sums that define the mean curve.
+
 ``detect``, ``localize`` and ``baselines`` share one analysis of identical
-data: the last dataset they saw (a copy) and its two O(n) curves are kept
-until a call brings different values, compared bit for bit.
+data: the last dataset they saw (a copy), its two O(n) curves and the
+profiles of the last ``lam`` asked for are kept until a call brings
+different values, compared bit for bit.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .cov_shift import CovStatResult, cov_stat_curve
-from .data import Dataset, StatCurve, _made_from, as_matrix
+from .cov_shift import CovStatResult, _curve, _terms
+from .data import Dataset, StatCurve, _float_matrix, _made_from, as_matrix
 from .errors import (
     AlphaRangeError,
     BadParamError,
@@ -42,7 +46,7 @@ from .errors import (
     EmptyGridError,
     NonFiniteValueError,
 )
-from .mean_shift import MeanStatResult, mean_stat_curve
+from .mean_shift import MeanStatResult, _mean_result
 from .scale import (
     Calibration,
     calibrate,
@@ -137,13 +141,18 @@ _Statistics = tuple[Calibration, MeanStatResult, CovStatResult]
 
 def _statistics(data: Dataset) -> _Statistics:
     """The calibration and both curves, with overflow reported as a data-scale error."""
+    n = data.n
     try:
         # The statistics are quartic and their null variances octic in the
         # data, so extreme magnitudes overflow: name the scale, do not warn.
         # The data are finite, so a non-finite curve is an overflow too.
         with np.errstate(over="raise", invalid="raise"):
-            calib = calibrate(trace_sigma2_hat(data), data.n)
-            return calib, mean_stat_curve(data), cov_stat_curve(data)
+            calib = calibrate(trace_sigma2_hat(data), n)
+            terms = _terms(data.values)
+            # Prefixes of 2 .. n-2 rows: the mean curve's pair sums.
+            k = slice(1, n - 2)
+            mean_result = _mean_result(terms.pre1[k], terms.suf1[k], terms.cross1[k], n)
+            return calib, mean_result, _curve(terms, n)
     except (FloatingPointError, NonFiniteValueError):
         raise DegenerateScaleError(
             f"data scale out of range: entries up to {np.abs(data.values).max():.3g} "
@@ -177,9 +186,16 @@ def _analyze(data: Dataset, calibration: str = "plug_in") -> _Analysis:
     return _analysis_from(data, _statistics(data), calibration)
 
 
-# The last dataset the public calls analysed, with its statistics.  Read
-# once per call and replaced whole, so concurrent calls can only miss.
-_last_seen: Optional[tuple[Dataset, _Statistics]] = None
+class _Entry(NamedTuple):
+    """The last dataset the public calls analysed, with what they derived from it."""
+
+    dataset: Dataset
+    statistics: _Statistics
+    profiles: Optional[_Profiles] = None     # for the last lam asked for
+
+
+# Read once per call and replaced whole, so concurrent calls can only miss.
+_last_seen: Optional[_Entry] = None
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -191,23 +207,39 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.array_equal(a[0], b[0]) and np.array_equal(a, b))
 
 
-def _public_analysis(data, calibration: str = "plug_in") -> _Analysis:
-    """:func:`_analyze` for the public calls, on a Dataset or matrix.
+def _public_analysis(data, calibration: str = "plug_in") -> tuple[_Analysis, _Entry]:
+    """:func:`_analyze` for the public calls, on a Dataset or matrix, and its entry.
 
     The statistics do not depend on the calibration, so they are reused
-    while the calls see the same matrix bits; every input check still
-    runs, and the outputs are those of a fresh analysis.
+    while the calls see the same matrix bits, and the outputs are those of
+    a fresh analysis.  Every parameter check and the conversion of the
+    input still run on a reuse.  The scan for NaN and Inf runs only on a
+    miss: bits equal to the stored, validated matrix are finite.
     """
     global _last_seen
-    values = as_matrix(data)
+    values = data.values if isinstance(data, Dataset) else _float_matrix(data)
     _check_calibration(calibration)
-    last = _last_seen
-    if last is None or not (data is last[0] or _same_bits(values, last[0].values)):
+    entry = _last_seen
+    if entry is None or not (data is entry.dataset or _same_bits(values, entry.dataset.values)):
         dataset = data
         if not isinstance(data, Dataset):
-            dataset = Dataset._from_finite(values, _made_from(values, data))
-        last = _last_seen = (dataset, _statistics(dataset))
-    return _analysis_from(*last, calibration)
+            # as_matrix adds the finiteness check to the conversion.
+            dataset = Dataset._from_finite(as_matrix(values), _made_from(values, data))
+        entry = _last_seen = _Entry(dataset, _statistics(dataset))
+    return _analysis_from(entry.dataset, entry.statistics, calibration), entry
+
+
+def _public_profiles(a: _Analysis, entry: _Entry, lam: float) -> _Profiles:
+    """The profiles of ``a`` at ``lam``, stored with its entry until another lam is asked for.
+
+    They do not depend on the calibration either.
+    """
+    global _last_seen
+    prof = entry.profiles
+    if prof is None or prof.lam != lam:
+        prof = _profiles(a, lam)
+        _last_seen = entry._replace(profiles=prof)
+    return prof
 
 
 def _check_alpha(alpha: float) -> None:
@@ -246,7 +278,7 @@ def detect(data, alpha: float = 0.05, calibration: str = "plug_in") -> TestOutco
     instead of the normal one (see the module docstring).
     """
     _check_alpha(alpha)
-    return _outcome_from_analysis(_public_analysis(data, calibration), alpha)
+    return _outcome_from_analysis(_public_analysis(data, calibration)[0], alpha)
 
 
 class _Grid(NamedTuple):
@@ -266,6 +298,7 @@ def _search_grid(n: int, lam: float) -> _Grid:
 
 
 class _Profiles(NamedTuple):
+    lam: float
     grid: _Grid
     taus: np.ndarray
     mean_term: np.ndarray   # -2 log p of the standardized mean curve
@@ -281,7 +314,7 @@ def _profiles(a: _Analysis, lam: float) -> _Profiles:
     mean_std = weight * a.mean_result.per_tau.values[taus - 2] / math.sqrt(2.0 * scale)
     cov_std = weight * a.cov_result.per_tau.values[taus - 4] / (2.0 * scale)
     mean_term, cov_term = -2.0 * normal_log_sf(np.stack([mean_std, cov_std]))
-    return _Profiles(grid, taus, mean_term, cov_term, mean_term + cov_term)
+    return _Profiles(lam, grid, taus, mean_term, cov_term, mean_term + cov_term)
 
 
 def _argmax_tau(taus: np.ndarray, values: np.ndarray) -> int:
@@ -301,7 +334,7 @@ def localize(data, lam: float = 0.2) -> LocalizationOutcome:
     clamped to [4, n - 4] so both per-split statistics exist.  Ties break
     toward the smallest split.
     """
-    prof = _profiles(_public_analysis(data), lam)
+    prof = _public_profiles(*_public_analysis(data), lam)
     return LocalizationOutcome(
         tau_hat=_argmax_tau(prof.taus, prof.fused),
         lam=lam,
@@ -311,9 +344,8 @@ def localize(data, lam: float = 0.2) -> LocalizationOutcome:
     )
 
 
-def _decide(a: _Analysis, alpha: float, lam: float) -> list[BaselineOutcome]:
+def _decide(a: _Analysis, alpha: float, prof: _Profiles) -> list[BaselineOutcome]:
     """The four decision rules of :func:`baselines`, in the order of :class:`Method`."""
-    prof = _profiles(a, lam)
     log_alpha = math.log(alpha)
     tau_mean = _argmax_tau(prof.taus, prof.mean_term)
     tau_cov = _argmax_tau(prof.taus, prof.cov_term)
@@ -343,4 +375,5 @@ def baselines(
     ``calibration`` is as in :func:`detect`.
     """
     _check_alpha(alpha)
-    return _decide(_public_analysis(data, calibration), alpha, lam)
+    a, entry = _public_analysis(data, calibration)
+    return _decide(a, alpha, _public_profiles(a, entry, lam))

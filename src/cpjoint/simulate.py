@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset, _finite_matrix
 from .errors import BadParamError, NotPSDError, NotSymmetricError
-from .pipeline import Method, _analyze, _check_calibration, _decide
+from .pipeline import Method, _analyze, _check_calibration, _decide, _profiles
 
 _MASK64 = (1 << 64) - 1
 
@@ -235,7 +235,7 @@ def _one_rep(args) -> tuple:
     model, rep, alpha, lam, calibration = args
     data = gen_dataset(replace(model, seed=mix_seed(model.seed, rep)))
     a = _analyze(data, calibration)
-    decisions = _decide(a, alpha, lam)
+    decisions = _decide(a, alpha, _profiles(a, lam))
     rejects = tuple(d.reject for d in decisions)
     tau_hats = tuple(d.tau_hat for d in decisions)
     return rejects, tau_hats, a.z_mean, a.z_cov, a.t_n

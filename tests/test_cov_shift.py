@@ -90,7 +90,7 @@ def test_blocked_sweep_matches_brute_force(n, block, monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_feature_terms_match_brute_force(seed, block, monkeypatch):
     # Block size 3 puts block boundaries inside every prefix and suffix.
-    monkeypatch.setattr(cov_shift, "_BLOCK", block)
+    monkeypatch.setattr(cov_shift, "_FEATURE_BLOCK", block)
     rng = np.random.default_rng(seed)
     n = 10
     x = rng.standard_normal((n, 2)) + 0.5
@@ -162,6 +162,43 @@ def test_large_offset_leaves_feature_path_curve_unchanged():
     base = cov_stat_curve(x).per_tau.values
     moved = cov_stat_curve(x + 1000.0).per_tau.values
     assert np.abs(moved - base).max() <= 1e-9 * np.abs(base).max()
+
+
+def test_large_offset_leaves_gram_path_curve_unchanged():
+    rng = np.random.default_rng(305)
+    x = rng.standard_normal((200, 100))
+    rms = np.sqrt(np.mean(x * x))
+    base = cov_stat_curve(x).per_tau.values
+    moved = cov_stat_curve(x + 1e6 * rms * rng.uniform(-1.0, 1.0, 100)).per_tau.values
+    assert np.abs(moved - base).max() <= 1e-9 * np.abs(base).max()
+
+
+def test_caller_gram_gives_the_uncentered_statistic():
+    rng = np.random.default_rng(306)
+    x = rng.standard_normal((40, 30)) + 3.0
+    own = cov_stat_curve(x).per_tau.values
+    raw = _curve(_sweep_terms(gram(x)), 40).per_tau.values
+    assert np.array_equal(cov_stat_curve(x, gram(x)).per_tau.values, raw)
+    assert np.abs(raw - own).max() <= 1e-9 * np.abs(own).max()
+
+
+# Near the origin the raw Gram matrix is centered in place, _BLOCK rows at
+# a time, also with a ragged last block of 7; farther out, in one copy.
+@pytest.mark.parametrize(
+    "shape, offset, block",
+    [((60, 40), 0.5, 128), ((50, 300), 0.5, 128), ((20, 45), 0.5, 7),
+     ((60, 40), 5.0, 128), ((50, 300), 5.0, 128)],
+    ids=["in_place", "in_place_wide", "rows_of_7", "copy", "copy_wide"],
+)
+def test_centered_gram_is_symmetric_and_centered(shape, offset, block, monkeypatch):
+    monkeypatch.setattr(cov_shift, "_BLOCK", block)
+    x = np.random.default_rng(307).standard_normal(shape) + offset
+    g = cov_shift._centered_gram(x)
+    xl = x.astype(np.longdouble)
+    xl -= xl.mean(axis=0)
+    exact = xl @ xl.T
+    assert np.array_equal(g, g.T)
+    assert np.abs(g - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 @given(

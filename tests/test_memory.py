@@ -52,6 +52,21 @@ def test_detect_holds_one_copy_of_the_data(wide, monkeypatch):
     assert traced_peak(detect, wide.copy()) < 1.25 * wide.nbytes
 
 
+def test_detect_holds_one_copy_of_the_data_at_200x5000(monkeypatch):
+    # Near the origin the raw Gram matrix is centered in place.
+    x = np.random.default_rng(1).standard_normal((200, 5000))
+    monkeypatch.setattr(pipeline, "_last_seen", None)
+    assert traced_peak(detect, x) < 1.25 * x.nbytes
+
+
+def test_detect_far_from_the_origin_holds_two_copies(monkeypatch):
+    # Column means far beyond the rows' spread: the Gram matrix is built
+    # from one centered copy of the data.
+    x = np.random.default_rng(1).standard_normal((200, 5000)) + 100.0
+    monkeypatch.setattr(pipeline, "_last_seen", None)
+    assert traced_peak(detect, x) < 2.25 * x.nbytes
+
+
 def test_detect_on_float32_holds_one_float64_copy(wide, monkeypatch):
     # The float64 conversion is private, so it is stored, not copied again.
     monkeypatch.setattr(pipeline, "_last_seen", None)

@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpjoint import (
     AlphaRangeError,
@@ -25,6 +26,7 @@ from cpjoint import (
     baselines,
     detect,
     localize,
+    mean_stat_curve,
     run_experiment,
     skewed_log_sf,
     trace_sigma2_hat,
@@ -275,6 +277,64 @@ class TestBaselines:
         assert mean_rejects >= 25
 
 
+class TestFarFromTheOrigin:
+    """An offset of 10^6 times the data's RMS leaves scores and decisions alone."""
+
+    @staticmethod
+    def _moved(x, rng, c=1e6):
+        rms = np.sqrt(np.mean(x * x))
+        return x + c * rms * rng.uniform(-1.0, 1.0, x.shape[1])
+
+    # Gram path (n < 4p) at the first three shapes, feature path at the last.
+    @pytest.mark.parametrize(
+        "shape", [(200, 100), (400, 200), (200, 5000), (2000, 50)],
+        ids=["200x100", "400x200", "200x5000", "2000x50"],
+    )
+    def test_decisions_unchanged(self, shape):
+        n, p = shape
+        rng = np.random.default_rng(n + p)
+        x = _shifted_data(n=n, p=p, tau=n // 3, seed=n + p)
+        moved = self._moved(x, rng)
+        base, far = detect(x), detect(moved)
+        assert abs(far.z_mean - base.z_mean) <= 1e-8
+        assert abs(far.z_cov - base.z_cov) <= 1e-8
+        assert far.reject == base.reject
+        assert localize(moved).tau_hat == localize(x).tau_hat
+        assert ([(b.reject, b.tau_hat) for b in baselines(moved)]
+                == [(b.reject, b.tau_hat) for b in baselines(x)])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        p=st.integers(3, 40),
+        row_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        log_c=st.floats(0.0, 6.0),
+    )
+    def test_gram_path_z_scores(self, p, row_frac, seed, log_c):
+        # n from 8 up to 4p - 1: always the Gram path.
+        n = 8 + int(row_frac * (4 * p - 9))
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p))
+        base, far = detect(x), detect(self._moved(x, rng, 10.0**log_c))
+        assert abs(far.z_mean - base.z_mean) <= 1e-8
+        assert abs(far.z_cov - base.z_cov) <= 1e-8
+
+
+# Around the path switch at n = 4p, and a wide shape with column blocks.
+@pytest.mark.parametrize(
+    "shape", [(119, 30), (120, 30), (121, 30), (200, 5000)],
+    ids=["4p-1", "4p", "4p+1", "200x5000"],
+)
+def test_fused_mean_curve_matches_mean_stat_curve(shape):
+    x = _shifted_data(n=shape[0], p=shape[1], tau=shape[0] // 2, seed=shape[1])
+    _, fused, _ = pipeline._statistics(Dataset(x))
+    alone = mean_stat_curve(x)
+    scale = np.abs(alone.per_tau.values).max()
+    assert (fused.per_tau.tau_min, fused.per_tau.tau_max) == (2, shape[0] - 2)
+    assert np.abs(fused.per_tau.values - alone.per_tau.values).max() <= 1e-9 * scale
+    assert rel_err(fused.aggregate, alone.aggregate) <= 1e-9
+
+
 def _bits(out):
     """A bitwise-exact image of an outcome or a list of outcomes."""
     if isinstance(out, list):
@@ -330,6 +390,39 @@ class TestSharedAnalysis:
         detect(x, calibration="finite_sample")
         baselines(x, calibration="finite_sample")
         assert len(analyses) == 1
+
+    def test_quickstart_sequence_computes_profiles_once(self, analyses, monkeypatch):
+        lams = []
+        profiles = pipeline._profiles
+
+        def counted(a, lam):
+            lams.append(lam)
+            return profiles(a, lam)
+
+        monkeypatch.setattr(pipeline, "_profiles", counted)
+        x = _shifted_data(seed=43)
+        detect(x)
+        localize(x)
+        baselines(x)
+        assert lams == [0.2]
+        localize(x, lam=0.3)
+        baselines(x, lam=0.3)
+        assert lams == [0.2, 0.3]
+
+    def test_quickstart_sequence_checks_finiteness_once(self, analyses, monkeypatch):
+        checked = []
+        finite_matrix = data_module._finite_matrix
+
+        def counted(values):
+            checked.append(values)
+            return finite_matrix(values)
+
+        monkeypatch.setattr(data_module, "_finite_matrix", counted)
+        x = _shifted_data(seed=44)
+        detect(x)
+        localize(x)
+        baselines(x)
+        assert len(checked) == len(analyses) == 1
 
     @pytest.mark.parametrize("name", list(_CALLS))
     def test_reuse_is_bitwise_a_cold_call(self, analyses, name):
@@ -414,15 +507,17 @@ class TestSharedAnalysis:
             localize(x, lam=0.7)
         assert len(analyses) == 1
 
-    def test_threads_never_mix_entries(self):
-        xs = [_shifted_data(n=40, p=4, seed=seed) for seed in (40, 41)]
-        want = [_bits(_cold(detect, x)) for x in xs]
+    @staticmethod
+    def _hammer(calls):
+        """Four threads run the (call, data) pairs round robin: (calls done, wrong ones)."""
+        want = [_bits(_cold(call, x)) for call, x in calls]
         done, wrong = [], []
 
         def work(offset):
             for i in range(200):
-                k = (i + offset) % 2
-                if _bits(detect(xs[k])) != want[k]:
+                k = (i + offset) % len(calls)
+                call, x = calls[k]
+                if _bits(call(x)) != want[k]:
                     wrong.append(k)
                 done.append(k)
 
@@ -437,8 +532,18 @@ class TestSharedAnalysis:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert len(done) == 800
-        assert wrong == []
+        return len(done), wrong
+
+    def test_threads_never_mix_entries(self):
+        xs = [_shifted_data(n=40, p=4, seed=seed) for seed in (40, 41)]
+        assert self._hammer([(detect, x) for x in xs]) == (800, [])
+
+    def test_threads_never_mix_profiles(self):
+        # Two datasets and two lams: a stored profile must match both.
+        xs = [_shifted_data(n=40, p=4, seed=seed) for seed in (45, 46)]
+        calls = [(functools.partial(localize, lam=lam), x) for x in xs for lam in (0.2, 0.3)]
+        calls += [(functools.partial(baselines, lam=0.3), x) for x in xs]
+        assert self._hammer(calls) == (800, [])
 
     def test_run_experiment_leaves_the_entry_alone(self, monkeypatch):
         class Unreadable(tuple):
