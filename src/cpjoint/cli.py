@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .data import Dataset, _finite_matrix
+from .data import Dataset
 from .errors import BadParamError, CpjointError
 from .pipeline import detect, localize
 from .simulate import (
@@ -103,11 +103,6 @@ def _data_lines(lines: _CountedLines) -> Optional[Iterator[str]]:
 
 def _is_header(line: str) -> bool:
     """Whether ``float`` rejects one of the line's cells."""
-    try:
-        np.loadtxt([line], **_CSV_FORMAT)   # a numeric line takes no loop per cell
-        return False
-    except ValueError:
-        pass
     for cell in next(csv.reader([line])):
         try:
             float(cell)
@@ -124,7 +119,7 @@ def _reason(exc: ValueError) -> str:
 
 def _read_dataset(path: str) -> Dataset:
     """The CSV at ``path`` as a Dataset over the parsed array itself, not a copy."""
-    return Dataset._from_finite(_finite_matrix(read_matrix_csv(path)), owned=True)
+    return Dataset._over(read_matrix_csv(path))
 
 
 def _not_utf8(path: str, exc: UnicodeDecodeError) -> CsvFormatError:

@@ -1,4 +1,7 @@
-"""Observation matrices, Gram matrices, and per-split statistic curves."""
+"""Observation matrices, Gram matrices, and per-split statistic curves.
+
+Only this module decides when an input array is copied (:func:`_stored`).
+"""
 
 from __future__ import annotations
 
@@ -44,27 +47,26 @@ def _finite_matrix(values) -> np.ndarray:
     return values
 
 
-def _stored(values: np.ndarray, owned: bool) -> np.ndarray:
-    """A finite float64 matrix with enough rows, read-only and C-ordered.
+def _stored(values: np.ndarray, source) -> np.ndarray:
+    """``values`` ready to store: enough rows, read-only and C-ordered.
 
-    ``values`` is what ``_finite_matrix`` made of its source.  It is copied
-    unless it is C-ordered and ``owned``: no one else holds it.
+    ``values`` is what :func:`_finite_matrix` made of ``source``.  It is
+    copied unless it is C-ordered and nothing else can write it: converting
+    ``source`` made it (a list, or an array it shares no memory with), or
+    ``source`` is None because the caller built it.
     """
     if values.shape[0] < MIN_OBSERVATIONS:
         raise TooFewObservationsError(
             f"need at least {MIN_OBSERVATIONS} observations, got {values.shape[0]}"
         )
-    if not (values.flags.c_contiguous and owned):
+    if isinstance(source, np.ndarray):
+        private = not np.may_share_memory(values, source)
+    else:
+        private = source is None or isinstance(source, (list, tuple))
+    if not (values.flags.c_contiguous and private):
         values = values.copy()
     values.setflags(write=False)
     return values
-
-
-def _made_from(values: np.ndarray, source) -> bool:
-    """Whether ``values`` was built or converted from ``source``, sharing no memory."""
-    if isinstance(source, np.ndarray):
-        return not np.may_share_memory(values, source)
-    return isinstance(source, (list, tuple))
 
 
 @dataclass(frozen=True)
@@ -72,21 +74,20 @@ class Dataset:
     """A validated n x p observation matrix, one row per time-ordered observation.
 
     Instances are immutable: the stored array is marked read-only so a
-    Dataset can be shared across threads without copying.
+    Dataset can be shared across threads without copying.  It is the
+    caller's array only when nothing else can write it (see :func:`_stored`).
     """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = _finite_matrix(self.values)
-        owned = _made_from(values, self.values)
-        object.__setattr__(self, "values", _stored(values, owned))
+        object.__setattr__(self, "values", _stored(_finite_matrix(self.values), self.values))
 
     @classmethod
-    def _from_finite(cls, values: np.ndarray, owned: bool) -> "Dataset":
-        """A Dataset over what ``_finite_matrix`` returned, not copied if ``owned``."""
+    def _over(cls, values, source=None) -> "Dataset":
+        """A Dataset over ``values``, converted from ``source`` or, if None, built by the caller."""
         dataset = object.__new__(cls)
-        object.__setattr__(dataset, "values", _stored(values, owned))
+        object.__setattr__(dataset, "values", _stored(_finite_matrix(values), source))
         return dataset
 
     @property

@@ -61,10 +61,11 @@ def mean_stat_curve(data) -> MeanStatResult:
     s1_total = np.zeros(n - 3)
     total_sq = 0.0
     q = np.zeros(n)
+    means = x.mean(axis=0)
     buf = np.empty((n, min(p, _BLOCK)))
     for lo in range(0, p, _BLOCK):
         cols = x[:, lo : lo + _BLOCK]
-        block = np.subtract(cols, cols.mean(axis=0), out=buf[:, : cols.shape[1]])
+        block = np.subtract(cols, means[lo : lo + _BLOCK], out=buf[:, : cols.shape[1]])
         q += np.einsum("ij,ij->i", block, block)
         np.cumsum(block, axis=0, out=block)
         s1 = block[1 : n - 2]       # row t-1 holds the sum of the first t rows

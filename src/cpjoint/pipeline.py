@@ -22,10 +22,12 @@ per-split profiles are the same under both.
 Both curves come from one pass: the covariance sweep over the centered
 data also yields the pair sums that define the mean curve.
 
-``detect``, ``localize`` and ``baselines`` share one analysis of identical
-data: the last dataset they saw (a copy), its two O(n) curves and the
-profiles of the last ``lam`` asked for are kept until a call brings
-different values, compared bit for bit.
+Every caller runs one chain: ``_statistics`` (the calibration and both
+curves), ``_outcome`` (a :class:`TestOutcome`), ``_profiles`` (the
+per-split profiles at one ``lam``) and ``_decide`` (the rules of
+``baselines``).  ``detect``, ``localize`` and ``baselines`` keep the last
+dataset they saw (stored under the copy rule of ``data``), its statistics
+and its profiles at the last ``lam`` until a call brings different bits.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .cov_shift import CovStatResult, _curve, _terms
-from .data import Dataset, StatCurve, _float_matrix, _made_from, as_matrix
+from .data import Dataset, StatCurve, _float_matrix
 from .errors import (
     AlphaRangeError,
     BadParamError,
@@ -114,21 +116,6 @@ class BaselineOutcome:
     tau_hat: Optional[int]
 
 
-class _Analysis(NamedTuple):
-    """Shared single-pass computation behind detect/localize/baselines."""
-
-    n: int
-    mean_result: MeanStatResult
-    cov_result: CovStatResult
-    calibration: Calibration
-    z_mean: float
-    z_cov: float
-    log_p_mean: float
-    log_p_cov: float
-    t_n: float
-    p_combined: float
-
-
 def _check_calibration(calibration: str) -> None:
     if calibration not in _CALIBRATIONS:
         raise BadParamError(
@@ -136,7 +123,12 @@ def _check_calibration(calibration: str) -> None:
         )
 
 
-_Statistics = tuple[Calibration, MeanStatResult, CovStatResult]
+class _Statistics(NamedTuple):
+    """What every call derives from one dataset, whatever its calibration or alpha."""
+
+    calibration: Calibration
+    mean_result: MeanStatResult
+    cov_result: CovStatResult
 
 
 def _statistics(data: Dataset) -> _Statistics:
@@ -152,7 +144,7 @@ def _statistics(data: Dataset) -> _Statistics:
             # Prefixes of 2 .. n-2 rows: the mean curve's pair sums.
             k = slice(1, n - 2)
             mean_result = _mean_result(terms.pre1[k], terms.suf1[k], terms.cross1[k], n)
-            return calib, mean_result, _curve(terms, n)
+            return _Statistics(calib, mean_result, _curve(terms, n))
     except (FloatingPointError, NonFiniteValueError):
         raise DegenerateScaleError(
             f"data scale out of range: entries up to {np.abs(data.values).max():.3g} "
@@ -160,11 +152,9 @@ def _statistics(data: Dataset) -> _Statistics:
         ) from None
 
 
-def _analysis_from(
-    data: Dataset, statistics: _Statistics, calibration: str
-) -> _Analysis:
+def _outcome(data: Dataset, stats: _Statistics, calibration: str, alpha: float) -> TestOutcome:
     """The O(1) tail step on top of :func:`_statistics` (O(np) more for finite_sample)."""
-    calib, mean_result, cov_result = statistics
+    calib, mean_result, cov_result = stats
     z_mean = mean_result.aggregate / math.sqrt(calib.sigma1_sq)
     z_cov = cov_result.aggregate / math.sqrt(calib.sigma2_sq)
     # One call for both scores: the normal tail costs mostly per call.
@@ -175,15 +165,23 @@ def _analysis_from(
     t_n = fisher_combine_log(log_p_mean, log_p_cov)
     # p_combined lives in (0, 1]: exactly 1 at t_n = 0, never exactly 0.
     p_combined = max(chi2_4_sf(t_n), TINY)
-    return _Analysis(
-        data.n, mean_result, cov_result, calib,
-        z_mean, z_cov, log_p_mean, log_p_cov, t_n, p_combined,
+    return TestOutcome(
+        m_n=mean_result.aggregate,
+        v_n=cov_result.aggregate,
+        trace_hat=calib.trace_hat,
+        sigma1_sq=calib.sigma1_sq,
+        sigma2_sq=calib.sigma2_sq,
+        z_mean=z_mean,
+        z_cov=z_cov,
+        p_mean=clamp_prob(math.exp(log_p_mean)),
+        p_cov=clamp_prob(math.exp(log_p_cov)),
+        log_p_mean=log_p_mean,
+        log_p_cov=log_p_cov,
+        t_n=t_n,
+        p_combined=p_combined,
+        alpha=alpha,
+        reject=p_combined <= alpha,
     )
-
-
-def _analyze(data: Dataset, calibration: str = "plug_in") -> _Analysis:
-    _check_calibration(calibration)
-    return _analysis_from(data, _statistics(data), calibration)
 
 
 class _Entry(NamedTuple):
@@ -207,37 +205,32 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.array_equal(a[0], b[0]) and np.array_equal(a, b))
 
 
-def _public_analysis(data, calibration: str = "plug_in") -> tuple[_Analysis, _Entry]:
-    """:func:`_analyze` for the public calls, on a Dataset or matrix, and its entry.
+def _entry(data) -> _Entry:
+    """The stored entry for a Dataset or matrix, replaced on a miss.
 
-    The statistics do not depend on the calibration, so they are reused
-    while the calls see the same matrix bits, and the outputs are those of
-    a fresh analysis.  Every parameter check and the conversion of the
-    input still run on a reuse.  The scan for NaN and Inf runs only on a
-    miss: bits equal to the stored, validated matrix are finite.
+    The statistics are reused while the calls see the same matrix bits, so
+    the outputs are those of a fresh analysis.  The conversion of the input
+    still runs on a reuse; the scan for NaN and Inf runs only on a miss:
+    bits equal to the stored, validated matrix are finite.
     """
     global _last_seen
     values = data.values if isinstance(data, Dataset) else _float_matrix(data)
-    _check_calibration(calibration)
     entry = _last_seen
     if entry is None or not (data is entry.dataset or _same_bits(values, entry.dataset.values)):
-        dataset = data
-        if not isinstance(data, Dataset):
-            # as_matrix adds the finiteness check to the conversion.
-            dataset = Dataset._from_finite(as_matrix(values), _made_from(values, data))
+        dataset = data if isinstance(data, Dataset) else Dataset._over(values, data)
         entry = _last_seen = _Entry(dataset, _statistics(dataset))
-    return _analysis_from(entry.dataset, entry.statistics, calibration), entry
+    return entry
 
 
-def _public_profiles(a: _Analysis, entry: _Entry, lam: float) -> _Profiles:
-    """The profiles of ``a`` at ``lam``, stored with its entry until another lam is asked for.
+def _public_profiles(entry: _Entry, lam: float) -> _Profiles:
+    """The profiles of ``entry`` at ``lam``, stored with it until another lam is asked for.
 
-    They do not depend on the calibration either.
+    They do not depend on the calibration.
     """
     global _last_seen
     prof = entry.profiles
     if prof is None or prof.lam != lam:
-        prof = _profiles(a, lam)
+        prof = _profiles(entry.statistics, lam)
         _last_seen = entry._replace(profiles=prof)
     return prof
 
@@ -245,26 +238,6 @@ def _public_profiles(a: _Analysis, entry: _Entry, lam: float) -> _Profiles:
 def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha < 1.0):
         raise AlphaRangeError(f"alpha={alpha} not strictly inside (0, 1)")
-
-
-def _outcome_from_analysis(a: _Analysis, alpha: float) -> TestOutcome:
-    return TestOutcome(
-        m_n=a.mean_result.aggregate,
-        v_n=a.cov_result.aggregate,
-        trace_hat=a.calibration.trace_hat,
-        sigma1_sq=a.calibration.sigma1_sq,
-        sigma2_sq=a.calibration.sigma2_sq,
-        z_mean=a.z_mean,
-        z_cov=a.z_cov,
-        p_mean=clamp_prob(math.exp(a.log_p_mean)),
-        p_cov=clamp_prob(math.exp(a.log_p_cov)),
-        log_p_mean=a.log_p_mean,
-        log_p_cov=a.log_p_cov,
-        t_n=a.t_n,
-        p_combined=a.p_combined,
-        alpha=alpha,
-        reject=a.p_combined <= alpha,
-    )
 
 
 def detect(data, alpha: float = 0.05, calibration: str = "plug_in") -> TestOutcome:
@@ -278,7 +251,9 @@ def detect(data, alpha: float = 0.05, calibration: str = "plug_in") -> TestOutco
     instead of the normal one (see the module docstring).
     """
     _check_alpha(alpha)
-    return _outcome_from_analysis(_public_analysis(data, calibration)[0], alpha)
+    _check_calibration(calibration)
+    entry = _entry(data)
+    return _outcome(entry.dataset, entry.statistics, calibration, alpha)
 
 
 class _Grid(NamedTuple):
@@ -306,13 +281,14 @@ class _Profiles(NamedTuple):
     fused: np.ndarray
 
 
-def _profiles(a: _Analysis, lam: float) -> _Profiles:
-    grid = _search_grid(a.n, lam)
+def _profiles(stats: _Statistics, lam: float) -> _Profiles:
+    n = len(stats.mean_result.per_tau) + 3     # the mean curve covers 2 .. n-2
+    grid = _search_grid(n, lam)
     taus = np.arange(grid.lo, grid.hi + 1)
-    weight = taus.astype(np.float64) * (a.n - taus) / a.n
-    scale = a.calibration.trace_hat
-    mean_std = weight * a.mean_result.per_tau.values[taus - 2] / math.sqrt(2.0 * scale)
-    cov_std = weight * a.cov_result.per_tau.values[taus - 4] / (2.0 * scale)
+    weight = taus.astype(np.float64) * (n - taus) / n
+    scale = stats.calibration.trace_hat
+    mean_std = weight * stats.mean_result.per_tau.values[taus - 2] / math.sqrt(2.0 * scale)
+    cov_std = weight * stats.cov_result.per_tau.values[taus - 4] / (2.0 * scale)
     mean_term, cov_term = -2.0 * normal_log_sf(np.stack([mean_std, cov_std]))
     return _Profiles(lam, grid, taus, mean_term, cov_term, mean_term + cov_term)
 
@@ -334,7 +310,7 @@ def localize(data, lam: float = 0.2) -> LocalizationOutcome:
     clamped to [4, n - 4] so both per-split statistics exist.  Ties break
     toward the smallest split.
     """
-    prof = _public_profiles(*_public_analysis(data), lam)
+    prof = _public_profiles(_entry(data), lam)
     return LocalizationOutcome(
         tau_hat=_argmax_tau(prof.taus, prof.fused),
         lam=lam,
@@ -344,15 +320,13 @@ def localize(data, lam: float = 0.2) -> LocalizationOutcome:
     )
 
 
-def _decide(a: _Analysis, alpha: float, prof: _Profiles) -> list[BaselineOutcome]:
+def _decide(a: TestOutcome, prof: _Profiles) -> list[BaselineOutcome]:
     """The four decision rules of :func:`baselines`, in the order of :class:`Method`."""
-    log_alpha = math.log(alpha)
+    log_alpha = math.log(a.alpha)
     tau_mean = _argmax_tau(prof.taus, prof.mean_term)
     tau_cov = _argmax_tau(prof.taus, prof.cov_term)
     return [
-        BaselineOutcome(
-            Method.FISHER, a.p_combined <= alpha, _argmax_tau(prof.taus, prof.fused)
-        ),
+        BaselineOutcome(Method.FISHER, a.reject, _argmax_tau(prof.taus, prof.fused)),
         BaselineOutcome(
             Method.BONFERRONI,
             min(a.log_p_mean, a.log_p_cov) <= log_alpha - math.log(2.0),
@@ -375,5 +349,7 @@ def baselines(
     ``calibration`` is as in :func:`detect`.
     """
     _check_alpha(alpha)
-    a, entry = _public_analysis(data, calibration)
-    return _decide(a, alpha, _public_profiles(a, entry, lam))
+    _check_calibration(calibration)
+    entry = _entry(data)
+    outcome = _outcome(entry.dataset, entry.statistics, calibration, alpha)
+    return _decide(outcome, _public_profiles(entry, lam))

@@ -22,9 +22,9 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .data import Dataset, _finite_matrix
+from .data import Dataset
 from .errors import BadParamError, NotPSDError, NotSymmetricError
-from .pipeline import Method, _analyze, _check_calibration, _decide, _profiles
+from .pipeline import Method, _check_calibration, _decide, _outcome, _profiles, _statistics
 
 _MASK64 = (1 << 64) - 1
 
@@ -43,6 +43,16 @@ class ErrorDist(str, enum.Enum):
     T9_STANDARDIZED = "t9"
 
 
+def _as_member(spec, field: str, kind: type[enum.Enum]) -> None:
+    """Store ``spec.field`` as a member of ``kind``: a member's string value selects it."""
+    value = getattr(spec, field)
+    try:
+        object.__setattr__(spec, field, kind(value))
+    except ValueError:
+        choices = ", ".join(repr(m.value) for m in kind)
+        raise BadParamError(f"{field}={value!r} is not one of {choices}") from None
+
+
 @dataclass(frozen=True)
 class CovSpec:
     """One covariance design: base structure, correlation, and scale."""
@@ -52,6 +62,7 @@ class CovSpec:
     scale: float
 
     def __post_init__(self) -> None:
+        _as_member(self, "scenario", CovScenario)
         if not -1.0 < self.corr < 1.0:
             raise BadParamError(f"correlation {self.corr} outside (-1, 1)")
         if not 0.0 < self.scale < math.inf:
@@ -76,6 +87,11 @@ class SimulationModel:
     seed: int
 
     def __post_init__(self) -> None:
+        for name, size in (("n", self.n), ("p", self.p)):
+            if size < 1:
+                raise BadParamError(f"{name}={size} must be at least 1")
+        _as_member(self, "cov_scenario", CovScenario)
+        _as_member(self, "error_dist", ErrorDist)
         if self.tau_star is not None and not 1 <= self.tau_star <= self.n - 1:
             raise BadParamError(
                 f"tau_star={self.tau_star} outside [1, {self.n - 1}]"
@@ -197,7 +213,7 @@ def gen_dataset(model: SimulationModel, sqrt_method: str = "spectral") -> Datase
     if tau < model.n:
         np.matmul(errors[tau:], post_root.T, out=x[tau:])
         x[tau:] += model.delta1 / math.sqrt(model.p)
-    return Dataset._from_finite(_finite_matrix(x), owned=True)
+    return Dataset._over(x)
 
 
 @dataclass(frozen=True)
@@ -234,11 +250,12 @@ class ExperimentReport:
 def _one_rep(args) -> tuple:
     model, rep, alpha, lam, calibration = args
     data = gen_dataset(replace(model, seed=mix_seed(model.seed, rep)))
-    a = _analyze(data, calibration)
-    decisions = _decide(a, alpha, _profiles(a, lam))
+    stats = _statistics(data)
+    outcome = _outcome(data, stats, calibration, alpha)
+    decisions = _decide(outcome, _profiles(stats, lam))
     rejects = tuple(d.reject for d in decisions)
     tau_hats = tuple(d.tau_hat for d in decisions)
-    return rejects, tau_hats, a.z_mean, a.z_cov, a.t_n
+    return rejects, tau_hats, outcome.z_mean, outcome.z_cov, outcome.t_n
 
 
 def run_experiment(

@@ -322,6 +322,14 @@ class TestSimulateCommand:
         assert code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("n, p", [("-5", "3"), ("0", "3"), ("20", "0")])
+    def test_nonpositive_shape_exits_one_without_traceback(self, capsys, n, p):
+        assert main(["simulate", "--n", n, "--p", p, "--reps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert ("n=" if int(n) < 1 else "p=") in err
+        assert "Traceback" not in err
+
     def test_zero_reps_rejected(self, capsys):
         assert main(["simulate", "--n", "30", "--p", "4", "--reps", "0"]) == 1
         capsys.readouterr()

@@ -1,15 +1,23 @@
-"""Dataset validation, Gram matrices, and statistic curves."""
+"""Dataset validation, the copy rule, Gram matrices, and statistic curves."""
 
 import numpy as np
 import pytest
 
 from cpjoint import (
+    CovScenario,
     Dataset,
+    ErrorDist,
     NonFiniteValueError,
+    SimulationModel,
     StatCurve,
     TooFewObservationsError,
+    cli,
+    data as data_module,
     dataset_from_matrix,
+    detect,
+    gen_dataset,
     gram,
+    pipeline,
 )
 
 
@@ -50,6 +58,99 @@ class TestDatasetFromMatrix:
     def test_requires_2d(self):
         with pytest.raises(ValueError):
             dataset_from_matrix(np.zeros(10))
+
+
+class TestCopyRule:
+    """A caller's array is copied; an array only the package can write is kept."""
+
+    @pytest.fixture
+    def converted(self, monkeypatch):
+        """The arrays the finiteness scan hands back, in call order."""
+        made = []
+        finite_matrix = data_module._finite_matrix
+
+        def recorded(values):
+            made.append(finite_matrix(values))
+            return made[-1]
+
+        monkeypatch.setattr(data_module, "_finite_matrix", recorded)
+        monkeypatch.setattr(pipeline, "_last_seen", None)
+        return made
+
+    @staticmethod
+    def _stored(call, x):
+        """The matrix ``call(x)`` stores: the Dataset's, or that of detect's entry."""
+        out = call(x)
+        return out.values if isinstance(out, Dataset) else pipeline._last_seen.dataset.values
+
+    @pytest.mark.parametrize("call", [Dataset, detect], ids=["Dataset", "detect"])
+    def test_callers_float64_array_is_copied(self, call, monkeypatch):
+        monkeypatch.setattr(pipeline, "_last_seen", None)
+        x = np.random.default_rng(0).standard_normal((20, 4))
+        stored = self._stored(call, x)
+        assert x.flags.writeable
+        assert not np.may_share_memory(stored, x)
+        assert np.array_equal(stored, x)
+        assert not stored.flags.writeable
+
+    @pytest.mark.parametrize("call", [Dataset, detect], ids=["Dataset", "detect"])
+    @pytest.mark.parametrize(
+        "layout", [np.asfortranarray, lambda x: x[::2], lambda x: x[:, ::2]],
+        ids=["fortran", "row-strided", "column-strided"],
+    )
+    def test_non_c_ordered_input_is_stored_c_ordered(self, call, layout, monkeypatch):
+        monkeypatch.setattr(pipeline, "_last_seen", None)
+        x = layout(np.random.default_rng(1).standard_normal((40, 8)))
+        stored = self._stored(call, x)
+        assert stored.flags.c_contiguous
+        assert not np.may_share_memory(stored, x)
+        assert np.array_equal(stored, x)
+        assert not stored.flags.writeable
+
+    @pytest.mark.parametrize("call", [Dataset, detect], ids=["Dataset", "detect"])
+    @pytest.mark.parametrize(
+        "make", [lambda x: x.tolist(), lambda x: x.astype(np.float32)], ids=["list", "float32"],
+    )
+    def test_conversion_is_stored_without_a_copy(self, converted, call, make):
+        stored = self._stored(call, make(np.random.default_rng(2).standard_normal((20, 4))))
+        assert stored is converted[-1]
+        assert not stored.flags.writeable
+
+    def test_generated_matrix_is_stored_without_a_copy(self, monkeypatch):
+        model = SimulationModel(
+            n=30, p=4, tau_star=15, delta1=1.0, delta2=1.5,
+            cov_scenario=CovScenario.AR1, error_dist=ErrorDist.NORMAL, seed=3,
+        )
+        gen_dataset(model)      # builds the cached covariance roots
+        built = []
+        empty = np.empty
+
+        def recorded(*args, **kwargs):
+            built.append(empty(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(np, "empty", recorded)
+        stored = gen_dataset(model).values
+        assert any(stored is b for b in built)
+        assert not stored.flags.writeable
+
+    def test_parsed_csv_is_stored_without_a_copy(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        np.savetxt(path, np.random.default_rng(4).standard_normal((20, 3)), delimiter=",")
+        parsed = []
+        read = cli.read_matrix_csv
+
+        def recorded(name):
+            parsed.append(read(name))
+            return parsed[-1]
+
+        monkeypatch.setattr(cli, "read_matrix_csv", recorded)
+        monkeypatch.setattr(pipeline, "_last_seen", None)
+        assert cli.main(["detect", str(path)]) == 0
+        capsys.readouterr()
+        stored = pipeline._last_seen.dataset.values
+        assert stored is parsed[-1]
+        assert not stored.flags.writeable
 
 
 class TestGram:

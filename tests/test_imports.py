@@ -8,6 +8,7 @@ command, so they are imported only by the calls that use them.  The check
 runs in a child process, because this one has long since loaded both.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -51,6 +52,25 @@ def test_public_api():
 def test_test_only_names_are_not_exported(name):
     with pytest.raises(ImportError):
         exec(f"from cpjoint import {name}", {})
+
+
+# data.py alone decides when an input array is copied.  pipeline compares
+# a caller's converted matrix with the stored one before the finiteness scan.
+PRIVATE_DATA_IMPORTS = {("pipeline", "_float_matrix")}
+
+
+def test_only_data_reaches_its_private_names():
+    found = set()
+    for path in sorted((ROOT / "src" / "cpjoint").glob("*.py")):
+        if path.stem == "data":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                (node.level == 1 and node.module == "data") or node.module == "cpjoint.data"
+            ):
+                found |= {(path.stem, a.name) for a in node.names if a.name.startswith("_")}
+    assert found == PRIVATE_DATA_IMPORTS
+
 
 CHILD = """
 import io

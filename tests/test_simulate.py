@@ -73,6 +73,20 @@ class TestBuildCov:
         with pytest.raises(BadParamError):
             build_cov(CovSpec(CovScenario.AR1, 0.3, 1.0), 0)
 
+    def test_string_scenario_selects_its_design(self):
+        for scenario in CovScenario:
+            spec = CovSpec(scenario.value, 0.3, 1.0)
+            assert spec.scenario is scenario
+            assert np.array_equal(
+                build_cov(spec, 12), build_cov(CovSpec(scenario, 0.3, 1.0), 12)
+            )
+        assert np.allclose(build_cov(CovSpec("ar1", 0.3, 1.0), 6)[0], 0.3 ** np.arange(6))
+
+    @pytest.mark.parametrize("value", ["AR1", "foo", None])
+    def test_unknown_scenario_rejected(self, value):
+        with pytest.raises(BadParamError, match="scenario"):
+            CovSpec(value, 0.3, 1.0)
+
 
 class TestCovSqrt:
     def test_identity(self):
@@ -151,6 +165,30 @@ class TestSimulationModel:
             _model(**{field: value})
         with pytest.raises(BadParamError, match=field):
             _model(tau_star=None, **{field: value})
+
+    @pytest.mark.parametrize("field", ["n", "p"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_nonpositive_shape_rejected(self, field, value):
+        with pytest.raises(BadParamError, match=f"{field}={value}"):
+            _model(tau_star=None, **{field: value})
+
+    @pytest.mark.parametrize("tau_star", [None, 30])
+    @pytest.mark.parametrize(
+        "scenario, dist",
+        [(CovScenario.AR1, ErrorDist.NORMAL), (CovScenario.BLOCK5, ErrorDist.T9_STANDARDIZED)],
+    )
+    def test_string_values_select_their_members(self, scenario, dist, tau_star):
+        by_string = _model(tau_star=tau_star, cov_scenario=scenario.value, error_dist=dist.value)
+        assert by_string.cov_scenario is scenario
+        assert by_string.error_dist is dist
+        by_member = _model(tau_star=tau_star, cov_scenario=scenario, error_dist=dist)
+        assert np.array_equal(gen_dataset(by_string).values, gen_dataset(by_member).values)
+
+    @pytest.mark.parametrize("field", ["cov_scenario", "error_dist"])
+    @pytest.mark.parametrize("value", ["AR1", "T9", "foo", None])
+    def test_unknown_enum_value_rejected(self, field, value):
+        with pytest.raises(BadParamError, match=field):
+            _model(**{field: value})
 
 
 class TestGenDataset:
