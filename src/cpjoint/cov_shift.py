@@ -18,6 +18,16 @@ thirteen running index-tuple sums, which two paths compute:
   q_i = |x_i|^2 and u_t = sum q_i x_i, e.g. the sum of g_ij^2 over the
   prefix is |A_t|_F^2 - sum q_i^2.  O(n p^2) time and O(np + p^2) memory.
 
+Each split has a shorter and a longer side.  Both paths sum the shorter
+side directly: as the totals minus the longer side it would be a small
+difference of large sums and lose its digits (Chan, Golub & LeVeque,
+1983).  The feature path, which sweeps each row once, takes the longer
+side as the totals minus the shorter one.  That stays accurate: the
+longer side holds at least half of the rows, so on rows of like size its
+sums are a fixed share of the totals; where the shorter side holds far
+larger rows, the longer side keeps the totals' absolute accuracy, and
+the totals are then the scale of the curve at that split.
+
 Both paths compute the sums of the centered rows: the statistic is
 translation invariant, the sums are not, and on raw data far from the
 origin they cancel away the digits of the curve.  A Gram matrix the
@@ -41,33 +51,38 @@ from .data import StatCurve, as_matrix
 from .errors import SampleTooSmallError
 
 #: The feature path runs when n >= _FEATURE_ROWS_PER_COLUMN * p.  Curve
-#: time (median of 9) and traced peak of each path on a 2-core Xeon:
+#: time (least of ten medians of 9) and traced peak of each path on a
+#: 2-core Xeon:
 #:
 #:     p    n      Gram ms  feature ms   Gram MB  feature MB
-#:     50   2p       0.3       0.8        0.31      0.45
-#:     50   3p       0.8       1.7        0.62      0.54
-#:     50   4p       1.1       2.1        1.04      0.60
-#:     50   6p       2.8       3.3        1.77      0.73
-#:     50   8p       3.4       3.2        2.65      0.86
-#:     100  2p       1.3       3.9        1.04      1.12
-#:     100  3p       1.8       4.8        1.77      1.38
-#:     100  4p       4.3       7.2        2.65      1.62
-#:     100  6p       8.8      10.8        5.29      2.12
-#:     100  8p      15.6      12.8        8.17      2.62
-#:     200  2p       2.9      12.1        2.65      3.43
-#:     200  3p       5.9      20.1        5.29      4.41
-#:     200  4p      22.4      32.8        8.17      5.42
-#:     200  6p      28.3      44.3       16.27      7.51
-#:     200  8p      55.2      59.0       26.97      9.31
+#:     50   2p       0.4       0.8        0.31      0.32
+#:     50   3p       0.6       1.1        0.62      0.40
+#:     50   4p       0.9       1.2        1.04      0.47
+#:     50   5p       1.7       1.4        1.58      0.63
+#:     50   6p       1.7       1.7        1.77      0.56
+#:     50   8p       4.4       2.1        2.65      0.64
+#:     100  2p       0.9       2.3        1.04      0.95
+#:     100  3p       1.8       3.1        1.77      1.10
+#:     100  4p       4.5       4.0        2.65      1.25
+#:     100  5p       7.6       5.2        4.10      1.70
+#:     100  6p       7.1       5.8        5.29      1.83
+#:     100  8p      15.5       9.7        8.17      2.12
+#:     200  2p       4.2      11.1        2.65      2.71
+#:     200  3p       7.8      12.7        5.29      3.80
+#:     200  4p      13.8      17.9        8.17      4.41
+#:     200  5p      21.1      24.6       12.13      5.51
+#:     200  6p      35.0      25.2       16.27      6.12
+#:     200  8p      56.8      37.3       26.97      7.84
 #:
-#: The Gram path is faster up to about 6p and the feature path lighter
-#: from 3p on, so no other switch point wins on both.
+#: The Gram path is faster up to about 4p to 5p and the feature path
+#: lighter from 3p on, so no other switch point wins on both.
 _FEATURE_ROWS_PER_COLUMN = 4
 #: Columns per block of the Gram sweep, rows per block of the Gram centering.
 _BLOCK = 128
 #: Rows per block of the feature-space sweep.  Its per-block temporaries
 #: grow with the square of the block: at n = 2000, p = 50 the kernel's
-#: traced peak is 2.14 MB with 64 rows and 2.83 MB with 128, at equal time.
+#: traced peak is 1.63 MB with 32 rows, 1.75 MB with 64 and 2.15 MB with
+#: 128; 48 to 64 rows are the fastest, 32 and 128 about 5-10% slower.
 _FEATURE_BLOCK = 64
 
 
@@ -105,6 +120,11 @@ class _SweepTerms(NamedTuple):
     cross3_mid_suf: np.ndarray
     cross3_mid_pre: np.ndarray
     cross4: np.ndarray
+
+    def mirrored(self) -> _SweepTerms:
+        """The same sums for the reversed row order: prefix and suffix trade places."""
+        return _SweepTerms(*self[4:8], *self[:4], self.cross1, self.cross2,
+                           self.cross3_mid_pre, self.cross3_mid_suf, self.cross4)
 
 
 def _tail_sums(v: np.ndarray) -> np.ndarray:
@@ -212,105 +232,113 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-class _PrefixMoments(NamedTuple):
-    """Index-tuple sums over the prefixes of one row order; row t covers rows 0 .. t.
+def _cumsum0(v: np.ndarray) -> np.ndarray:
+    """Sums of v[:k] for k = 0 .. len(v), along the first axis."""
+    out = np.zeros((v.shape[0] + 1,) + v.shape[1:])
+    np.cumsum(v, axis=0, out=out[1:])
+    return out
 
-    With A_t = sum x_i x_i' and s_t = sum x_i over the prefix: pair1/pair2
-    are the sums of g_ij / g_ij^2 over distinct i, j in the prefix, path3 the
-    sum of g_ij * g_jk over three distinct indices, cross2 the sum of g_ij^2
-    with i in the prefix and j outside it, and rest_quad = r_t' A_t r_t with
-    r_t = s_n - s_t the sum of the rows outside the prefix.  tot_quad holds
-    x_t' A_n x_t, which depends on the row alone.
-    """
+
+class _Totals(NamedTuple):
+    """Moments of all n rows: s_n = sum x_i, A_n = sum x_i x_i', u_n = sum q_i x_i."""
 
     s: np.ndarray
-    pair1: np.ndarray
-    pair2: np.ndarray
-    path3: np.ndarray
-    cross2: np.ndarray
-    rest_quad: np.ndarray
-    tot_quad: np.ndarray
+    a: np.ndarray
+    u: np.ndarray
+    q1: float           # sum of q_i = |x_i|^2
+    q2: float           # sum of q_i^2
+    frob: float         # ||A_n||_F^2
 
 
-def _prefix_moments(x: np.ndarray, a_tot: np.ndarray,
-                    tot_quad: np.ndarray | None = None) -> _PrefixMoments:
-    """The sums of :class:`_PrefixMoments`; ``tot_quad`` is computed unless given."""
-    n, p = x.shape
-    if tot_quad is None:
-        # Before s exists: the n x p product is then no larger than the
-        # backward pass, which holds both passes' s.
-        tot_quad = _row_dots(x @ a_tot, x)
-    s = np.cumsum(x, axis=0)
+def _side_sums(x: np.ndarray, tot: _Totals) -> _SweepTerms:
+    """The thirteen sums for the splits after each of the first k rows of x, k = 0 .. m.
+
+    Entry k puts rows 0 .. t = k-1 of x in the prefix and every other row
+    of the data in the suffix.  The prefix sums are polynomials in its
+    moments s_t, A_t, u_t and ||A_t||_F^2, e.g. pre2 = ||A_t||_F^2 - sum
+    q_i^2; the suffix sums are the totals minus the prefix's, with
+    r_t = s_n - s_t for the suffix's row sum.
+    """
+    m, p = x.shape
     q = _row_dots(x, x)
-    frob = np.empty(n)          # ||A_t||_F^2
-    quads = np.empty((2, n))    # s_t' A_t s_t, r_t' A_t r_t
-    u_s = np.empty(n)           # u_t' s_t with u_t = sum of q_i x_i
-    a = np.zeros((p, p))        # A_t and u_t at the start of the block
+    s = _cumsum0(x)
+    frob = np.zeros(m + 1)          # ||A_t||_F^2
+    quads = np.zeros((2, m + 1))    # s_t' A_t s_t, r_t' A_t r_t
+    u_dots = np.zeros((2, m + 1))   # u_t' s_t, u_t' r_t
+    a = np.zeros((p, p))            # A_t and u_t at the start of the block
     u = np.zeros(p)
-    frob_start = 0.0
-    masks = _feature_masks(min(_FEATURE_BLOCK, n), x.dtype)
-    w = np.empty((3, min(_FEATURE_BLOCK, n), p))
-    for lo in range(0, n, _FEATURE_BLOCK):
-        rows = slice(lo, min(lo + _FEATURE_BLOCK, n))
-        xb, sb, qb = x[rows], s[rows], q[rows]
-        b = xb.shape[0]
+    width = min(_FEATURE_BLOCK, m)
+    masks = _feature_masks(width, x.dtype)
+    w = np.empty((3, width, p))
+    for lo in range(0, m, _FEATURE_BLOCK):
+        hi = min(lo + _FEATURE_BLOCK, m)
+        out = slice(lo + 1, hi + 1)     # the prefixes that end in the block
+        xb, sb, qb = x[lo:hi], s[out], q[lo:hi]
+        b = hi - lo
         # Rows t of the block as x_t, s_t and r_t = s_n - s_t: v' a v for
         # each, plus the squared products with the block's rows j < t (for
         # x_t) or j <= t (for s_t and r_t).
         v = w[:, :b]
         v[0], v[1] = xb, sb
-        np.subtract(s[-1], sb, out=v[2])
+        np.subtract(tot.s, sb, out=v[2])
         flat = v.reshape(3 * b, p)
         vx = (flat @ xb.T).reshape(3, b, b)
         quad = (np.einsum("ki,ki->k", flat @ a, flat).reshape(3, b)
                 + np.einsum("kti,kti,kti->kt", vx, vx, masks[:, :b, :b]))
         # ||A_t||^2 - ||A_{t-1}||^2 = 2 x_t' A_{t-1} x_t + q_t^2, where
         # A_{t-1} is a plus the block's rows before t: nonnegative steps.
-        frob[rows] = frob_start + np.cumsum(2.0 * quad[0] + qb * qb)
-        frob_start = frob[rows][-1]
-        quads[:, rows] = quad[1:]
+        frob[out] = frob[lo] + np.cumsum(2.0 * quad[0] + qb * qb)
+        quads[:, out] = quad[1:]
         ub = u + np.cumsum(qb[:, None] * xb, axis=0)
-        u_s[rows] = _row_dots(ub, sb)
+        u_dots[:, out] = np.einsum("ti,kti->kt", ub, v[1:])
         u = ub[-1]
         a += xb.T @ xb
-    s_quad, rest_quad = quads
-    q2 = np.cumsum(q * q)
-    pair1 = _row_dots(s, s) - np.cumsum(q)
-    pair2 = frob - q2
-    path3 = s_quad - 2.0 * u_s - frob + 2.0 * q2
-    cross2 = np.cumsum(tot_quad) - frob
-    return _PrefixMoments(s, pair1, pair2, path3, cross2, rest_quad, tot_quad)
+    (s_quad, rest_quad), (u_s, u_r) = quads, u_dots
+    q1, q2 = _cumsum0(q), _cumsum0(q * q)
+    cross2 = _cumsum0(_row_dots(x @ tot.a, x)) - frob
+    # s_t' A_n s_t, and r_t' A_n r_t from A_n r_t = A_n s_n - A_n s_t.
+    sa = s @ tot.a
+    s_tot = _row_dots(sa, s)
+    r = tot.s - s
+    np.subtract(tot.a @ tot.s, sa, out=sa)
+    r_tot = _row_dots(sa, r)
+    # The suffix's ||B_t||_F^2: all pairs, minus the prefix's and the crossing ones.
+    suf_frob = tot.frob - frob - 2.0 * cross2
+    suf_q2 = tot.q2 - q2
+    return _complete(
+        pre1=_row_dots(s, s) - q1,
+        pre2=frob - q2,
+        pre3=s_quad - 2.0 * u_s - frob + 2.0 * q2,
+        suf1=_row_dots(r, r) - (tot.q1 - q1),
+        suf2=suf_frob - suf_q2,
+        suf3=(r_tot - rest_quad) - 2.0 * (r @ tot.u - u_r) - suf_frob + 2.0 * suf_q2,
+        cross1=_row_dots(s, r),
+        cross2=cross2,
+        cross3_mid_suf=s_tot - s_quad - cross2,
+        cross3_mid_pre=rest_quad - cross2,
+    )
 
 
 def _feature_terms(x: np.ndarray) -> _SweepTerms:
     """The sums of :func:`_sweep_terms` from p x p moments, without the Gram matrix.
 
     O(n p^2 + n b p) time and O(n p + p^2 + b^2) memory for row blocks of
-    b = _FEATURE_BLOCK.  The suffix sums come from the same prefix pass over
-    the reversed rows rather than as total minus prefix, which would cancel.
-    Accurate for centered x; the sums themselves are not translation invariant.
+    b = _FEATURE_BLOCK.  Each row is swept once: a forward pass over rows
+    0 .. h-1, h = n // 2, serves the splits t < h, whose prefix is the
+    shorter side, and a pass over the reversed rows n-1 .. h+1 the splits
+    t >= h, whose suffix is.  Each pass sums the shorter side directly and
+    takes the longer one as totals minus the shorter (see the module
+    docstring).  Accurate for centered x; the sums themselves are not
+    translation invariant.
     """
     n = x.shape[0]
-    a_tot = x.T @ x
-    fwd = _prefix_moments(x, a_tot)
-    bwd = _prefix_moments(x[::-1], a_tot, fwd.tot_quad[::-1])
-
-    def after(v: np.ndarray) -> np.ndarray:
-        # Row t of the result belongs to rows t+1 .. n-1: row n-2-t of bwd.
-        out = np.zeros(n)
-        out[:-1] = v[-2::-1]
-        return out
-
-    # cross2 is a difference of two sums that both grow with the prefix, so
-    # each pass supplies it where its own prefix is the shorter side.
-    cross2 = np.where(np.arange(n) < n // 2, fwd.cross2, after(bwd.cross2))
-    cross1 = np.zeros(n)
-    cross1[:-1] = _row_dots(fwd.s[:-1], bwd.s[-2::-1])
-    return _complete(
-        fwd.pair1, fwd.pair2, fwd.path3,
-        after(bwd.pair1), after(bwd.pair2), after(bwd.path3),
-        cross1, cross2, after(bwd.rest_quad) - cross2, fwd.rest_quad - cross2,
-    )
+    h = n // 2
+    q = _row_dots(x, x)
+    a = x.T @ x
+    tot = _Totals(x.sum(axis=0), a, q @ x, q.sum(), q @ q, np.einsum("ij,ij->", a, a))
+    fwd = _side_sums(x[:h], tot)                    # split t at entry t + 1
+    bwd = _side_sums(x[:h:-1], tot).mirrored()      # split t at entry n - 1 - t
+    return _SweepTerms(*(np.concatenate((f[1:], b[::-1])) for f, b in zip(fwd, bwd)))
 
 
 def _curve(terms: _SweepTerms, n: int) -> CovStatResult:

@@ -144,6 +144,56 @@ def test_feature_path_at_least_as_accurate_as_gram_path():
     assert feature_err <= gram_err
 
 
+def _heterogeneous(kind, n, p, rng):
+    x = rng.standard_normal((n, p))
+    if kind == "quarter_x1000":
+        x[n // 4 : n // 2] *= 1000.0
+    elif kind == "column_per_half":
+        x[: n // 2, 0] *= 1e4
+        x[n // 2 :, 1] *= 1e4
+    elif kind == "random_walk":
+        x = np.cumsum(x, axis=0)
+    elif kind == "geometric_scale":
+        x *= np.geomspace(1.0, 1e4, n)[:, None]
+    return x
+
+
+@pytest.mark.parametrize("n", [400, 401])
+@pytest.mark.parametrize(
+    "kind", ["quarter_x1000", "column_per_half", "random_walk", "geometric_scale"]
+)
+def test_feature_path_accuracy_on_heterogeneous_rows(kind, n):
+    # The longer side of each split is the totals minus the shorter side.
+    p = 20
+    x = _heterogeneous(kind, n, p, np.random.default_rng(308))
+    xl = x.astype(np.longdouble)
+    xl -= xl.mean(axis=0)
+    exact = _curve(_sweep_terms(xl @ xl.T), n).per_tau.values
+    err = np.abs(cov_stat_curve(x).per_tau.values - exact).max()
+    assert err <= 1e-13 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("n, p", [(8, 2), (9, 2), (12, 3), (13, 3), (2000, 5)])
+def test_feature_path_sweeps_each_row_once(n, p, monkeypatch):
+    swept = []
+    side_sums = cov_shift._side_sums
+
+    def counting(x, tot):
+        swept.append(x.shape[0])
+        return side_sums(x, tot)
+
+    monkeypatch.setattr(cov_shift, "_side_sums", counting)
+    x = np.random.default_rng(309).standard_normal((n, p)) + 0.5
+    x -= x.mean(axis=0)
+    terms = _feature_terms(x)
+    assert sum(swept) <= n
+    expected = _sweep_terms(x @ x.T)
+    for name, want in expected._asdict().items():
+        got = getattr(terms, name)
+        assert got.shape == (n,), name
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), name
+
+
 @pytest.mark.parametrize("shape", [(200, 100), (400, 200)])
 def test_gram_path_accuracy_against_extended_precision(shape):
     n, p = shape

@@ -59,6 +59,14 @@ def test_detect_holds_one_copy_of_the_data_at_200x5000(monkeypatch):
     assert traced_peak(detect, x) < 1.25 * x.nbytes
 
 
+def test_detect_on_a_long_series_stays_below_five_copies(monkeypatch):
+    # n >= 4p: the feature path holds the centered copy and O(np / 2)
+    # per pass, with no n x n array.
+    x = np.random.default_rng(2).standard_normal((2000, 50))
+    monkeypatch.setattr(pipeline, "_last_seen", None)
+    assert traced_peak(detect, x) < 4.7 * x.nbytes
+
+
 def test_detect_far_from_the_origin_holds_two_copies(monkeypatch):
     # Column means far beyond the rows' spread: the Gram matrix is built
     # from one centered copy of the data.
