@@ -16,7 +16,10 @@ thirteen running index-tuple sums, which two paths compute:
 - the feature path (:func:`_feature_terms`, n >= 4p) writes every sum as
   a polynomial in prefix moments s_t = sum x_i, A_t = sum x_i x_i',
   q_i = |x_i|^2 and u_t = sum q_i x_i, e.g. the sum of g_ij^2 over the
-  prefix is |A_t|_F^2 - sum q_i^2.  O(n p^2) time and O(np + p^2) memory.
+  prefix is |A_t|_F^2 - sum q_i^2.  O(n p^2) time.  It reads the data
+  one block of rows at a time, so beside them it holds the thirteen
+  O(n) sums and O(b p + b^2 + p^2) per block: a traced peak of 0.57 MB
+  at n = 2000, p = 50, whose data take 0.8 MB.
 
 Each split has a shorter and a longer side.  Both paths sum the shorter
 side directly: as the totals minus the longer side it would be a small
@@ -30,10 +33,11 @@ the totals are then the scale of the curve at that split.
 
 Both paths compute the sums of the centered rows: the statistic is
 translation invariant, the sums are not, and on raw data far from the
-origin they cancel away the digits of the curve.  A Gram matrix the
-caller passes in is used as given.  Three of the sums, pre1, suf1 and
-cross1, are also the pair sums of the mean-shift curve, which the
-pipeline reads off this sweep.
+origin they cancel away the digits of the curve.  The feature path
+centers each block as it reads it.  A Gram matrix the caller passes in
+is used as given.  Three of the sums, pre1, suf1 and cross1, are also
+the pair sums of the mean-shift curve, which the pipeline reads off
+this sweep.
 
 The sums are exposed for testing because the cancellation-heavy
 four-index identities deserve direct verification against brute force.
@@ -48,41 +52,42 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import StatCurve, as_matrix
-from .errors import SampleTooSmallError
+from .errors import NotAMatrixError, SampleTooSmallError
 
 #: The feature path runs when n >= _FEATURE_ROWS_PER_COLUMN * p.  Curve
 #: time (least of ten medians of 9) and traced peak of each path on a
 #: 2-core Xeon:
 #:
 #:     p    n      Gram ms  feature ms   Gram MB  feature MB
-#:     50   2p       0.4       0.8        0.31      0.32
-#:     50   3p       0.6       1.1        0.62      0.40
-#:     50   4p       0.9       1.2        1.04      0.47
-#:     50   5p       1.7       1.4        1.58      0.63
-#:     50   6p       1.7       1.7        1.77      0.56
-#:     50   8p       4.4       2.1        2.65      0.64
-#:     100  2p       0.9       2.3        1.04      0.95
-#:     100  3p       1.8       3.1        1.77      1.10
-#:     100  4p       4.5       4.0        2.65      1.25
-#:     100  5p       7.6       5.2        4.10      1.70
-#:     100  6p       7.1       5.8        5.29      1.83
-#:     100  8p      15.5       9.7        8.17      2.12
-#:     200  2p       4.2      11.1        2.65      2.71
-#:     200  3p       7.8      12.7        5.29      3.80
-#:     200  4p      13.8      17.9        8.17      4.41
-#:     200  5p      21.1      24.6       12.13      5.51
-#:     200  6p      35.0      25.2       16.27      6.12
-#:     200  8p      56.8      37.3       26.97      7.84
+#:     50   2p       0.4       0.8        0.31      0.20
+#:     50   3p       0.7       1.2        0.62      0.27
+#:     50   4p       1.6       1.3        1.04      0.28
+#:     50   5p       2.0       1.5        1.58      0.29
+#:     50   6p       1.9       1.9        1.77      0.29
+#:     50   8p       5.0       2.5        2.65      0.31
+#:     100  2p       1.0       2.6        1.04      0.59
+#:     100  3p       2.0       3.6        1.77      0.60
+#:     100  4p       5.0       4.9        2.65      0.62
+#:     100  5p       8.0       5.6        4.10      0.64
+#:     100  6p       8.5       7.9        5.29      0.65
+#:     100  8p      16.0       9.6        8.17      0.68
+#:     200  2p       4.5      11.6        2.65      1.65
+#:     200  3p       7.3      16.2        5.29      1.68
+#:     200  4p      16.3      21.6        8.17      1.72
+#:     200  5p      23.8      27.1       12.13      1.75
+#:     200  6p      36.6      33.0       16.27      1.78
+#:     200  8p      65.5      41.5       26.97      1.84
 #:
-#: The Gram path is faster up to about 4p to 5p and the feature path
-#: lighter from 3p on, so no other switch point wins on both.
+#: The Gram path is faster up to 3p and the two are about even at 4p; the
+#: feature path is faster from 5p to 6p on and lighter from 2p on, so the
+#: switch stays at 4p.
 _FEATURE_ROWS_PER_COLUMN = 4
 #: Columns per block of the Gram sweep, rows per block of the Gram centering.
 _BLOCK = 128
 #: Rows per block of the feature-space sweep.  Its per-block temporaries
 #: grow with the square of the block: at n = 2000, p = 50 the kernel's
-#: traced peak is 1.63 MB with 32 rows, 1.75 MB with 64 and 2.15 MB with
-#: 128; 48 to 64 rows are the fastest, 32 and 128 about 5-10% slower.
+#: traced peak is 0.50 MB with 32 rows, 0.57 MB with 64 and 0.96 MB with
+#: 128, and 32 to 128 rows take 10-12 ms, within the noise of each other.
 _FEATURE_BLOCK = 64
 
 
@@ -228,117 +233,155 @@ def _complete(pre1, pre2, pre3, suf1, suf2, suf3,
     )
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, b)
-
-
-def _cumsum0(v: np.ndarray) -> np.ndarray:
-    """Sums of v[:k] for k = 0 .. len(v), along the first axis."""
-    out = np.zeros((v.shape[0] + 1,) + v.shape[1:])
-    np.cumsum(v, axis=0, out=out[1:])
-    return out
-
-
 class _Totals(NamedTuple):
-    """Moments of all n rows: s_n = sum x_i, A_n = sum x_i x_i', u_n = sum q_i x_i."""
+    """Moments of all n rows x_i - center: s_n = sum x_i, A_n = sum x_i x_i', u_n = sum q_i x_i."""
 
+    center: np.ndarray | float
     s: np.ndarray
-    a: np.ndarray
-    u: np.ndarray
+    au: np.ndarray      # [A_n | u_n], p x (p + 1)
     q1: float           # sum of q_i = |x_i|^2
     q2: float           # sum of q_i^2
     frob: float         # ||A_n||_F^2
+
+
+def _totals(x: np.ndarray, center: np.ndarray | float) -> _Totals:
+    """The totals of the rows x_i - center, formed one block of rows at a time."""
+    n, p = x.shape
+    # z = [x_i - center | q_i | 1] per row: z'z holds A_n, u_n, s_n, sum q^2
+    # and sum q.  A block of z holds about as many entries as one b x b
+    # product of the sweep, and at least b rows.
+    rows = max(_FEATURE_BLOCK, _FEATURE_BLOCK**2 // (p + 2))
+    z = np.empty((min(rows, n), p + 2))
+    z[:, p + 1] = 1.0
+    zz = np.zeros((p + 2, p + 2))
+    for lo in range(0, n, rows):
+        zb = z[: min(rows, n - lo)]
+        xb = np.subtract(x[lo : lo + len(zb)], center, out=zb[:, :p])
+        np.einsum("ij,ij->i", xb, xb, out=zb[:, p])
+        zz += zb.T @ zb
+    a = zz[:p, :p]
+    return _Totals(center, zz[:p, p + 1].copy(), zz[:p, : p + 1].copy(), zz[p, p + 1],
+                   zz[p, p], np.einsum("ij,ij->", a, a))
+
+
+def _row_sums(x: np.ndarray, tot: _Totals) -> np.ndarray:
+    """The row-wise sums :func:`_side_sums` reads, at entries k = 1 .. m.
+
+    Row t = k - 1 of x, less ``tot.center``, gives entry k of: q_t, s.s,
+    r.r, s.r; v' A_n v for v = x_t, s_t, r_t; r . u_n; v' A_t v (A_{t-1}
+    for x_t); u_t . s_t and u_t . r_t.  Entry 0, the empty prefix, is 0.
+    Each block of b = _FEATURE_BLOCK rows forms its x_t, s_t and r_t,
+    reads the sums off them and drops them: O(b p + b^2 + p^2) working
+    memory beside the result, freed before :func:`_side_sums` makes its
+    O(m) temporaries.
+    """
+    m, p = x.shape
+    width = min(_FEATURE_BLOCK, m)
+    masks = _feature_masks(width, x.dtype)
+    buf = np.empty((3 * width, p))          # x_t, s_t and r_t of a block
+    work = np.empty(3 * width * max(p + 1, width))
+    a = np.zeros((p, p))                    # A_t and u_t at the start of the block
+    u = np.zeros(p)
+    s_end = np.zeros(p)                     # s_t at the end of the last block
+    acc = np.zeros((13, m + 1))
+    for lo in range(0, m, _FEATURE_BLOCK):
+        hi = min(lo + _FEATURE_BLOCK, m)
+        b = hi - lo
+        out = slice(lo + 1, hi + 1)         # the prefixes that end in the block
+        flat = buf[: 3 * b]
+        v = flat.reshape(3, b, p)
+        xb, sb, rb = v
+        # Copied, then centered: subtracting a reversed block straight into
+        # xb would buffer both operands.
+        xb[...] = x[lo:hi]
+        xb -= tot.center
+        # Run on from the last block: the adds of one cumsum over all rows.
+        sb[...] = xb
+        sb[0] += s_end
+        np.cumsum(sb, axis=0, out=sb)
+        np.subtract(tot.s, sb, out=rb)
+        np.einsum("kti,kti->kt", v, v, out=acc[:3, out])
+        np.einsum("ti,ti->t", sb, rb, out=acc[3, out])
+        prod = np.matmul(flat, tot.au, out=work[: 3 * b * (p + 1)].reshape(3 * b, p + 1))
+        acc[4:7, out] = np.einsum("ki,ki->k", prod[:, :p], flat).reshape(3, b)
+        acc[7, out] = prod[2 * b :, p]
+        # v' A_t v and v . u_t with A_t and u_t at the start of the block; the
+        # block's rows j < t (for x_t) or j <= t (for s_t and r_t) add
+        # (v . x_j)^2 and q_j v . x_j.
+        prod = np.matmul(flat, a, out=work[: 3 * b * p].reshape(3 * b, p))
+        acc[8:11, out] = np.einsum("ki,ki->k", prod, flat).reshape(3, b)
+        acc[11:, out] = (flat[b:] @ u).reshape(2, b)
+        vx = np.matmul(flat, xb.T, out=work[: 3 * b * b].reshape(3 * b, b)).reshape(3, b, b)
+        qb = acc[0, out]
+        acc[11:, out] += np.einsum("kti,ti,i->kt", vx[1:], masks[1, :b, :b], qb)
+        acc[8:11, out] += np.einsum("kti,kti,kti->kt", vx, vx, masks[:, :b, :b])
+        a += xb.T @ xb
+        u += qb @ xb
+        s_end[...] = sb[-1]
+    return acc
 
 
 def _side_sums(x: np.ndarray, tot: _Totals) -> _SweepTerms:
     """The thirteen sums for the splits after each of the first k rows of x, k = 0 .. m.
 
     Entry k puts rows 0 .. t = k-1 of x in the prefix and every other row
-    of the data in the suffix.  The prefix sums are polynomials in its
-    moments s_t, A_t, u_t and ||A_t||_F^2, e.g. pre2 = ||A_t||_F^2 - sum
-    q_i^2; the suffix sums are the totals minus the prefix's, with
-    r_t = s_n - s_t for the suffix's row sum.
+    of the data in the suffix; the rows are taken less ``tot.center``.  The
+    prefix sums are polynomials in its moments s_t, A_t, u_t and
+    ||A_t||_F^2, e.g. pre2 = ||A_t||_F^2 - sum q_i^2; the suffix sums are
+    the totals minus the prefix's, with r_t = s_n - s_t for the suffix's
+    row sum.
     """
-    m, p = x.shape
-    q = _row_dots(x, x)
-    s = _cumsum0(x)
-    frob = np.zeros(m + 1)          # ||A_t||_F^2
-    quads = np.zeros((2, m + 1))    # s_t' A_t s_t, r_t' A_t r_t
-    u_dots = np.zeros((2, m + 1))   # u_t' s_t, u_t' r_t
-    a = np.zeros((p, p))            # A_t and u_t at the start of the block
-    u = np.zeros(p)
-    width = min(_FEATURE_BLOCK, m)
-    masks = _feature_masks(width, x.dtype)
-    w = np.empty((3, width, p))
-    for lo in range(0, m, _FEATURE_BLOCK):
-        hi = min(lo + _FEATURE_BLOCK, m)
-        out = slice(lo + 1, hi + 1)     # the prefixes that end in the block
-        xb, sb, qb = x[lo:hi], s[out], q[lo:hi]
-        b = hi - lo
-        # Rows t of the block as x_t, s_t and r_t = s_n - s_t: v' a v for
-        # each, plus the squared products with the block's rows j < t (for
-        # x_t) or j <= t (for s_t and r_t).
-        v = w[:, :b]
-        v[0], v[1] = xb, sb
-        np.subtract(tot.s, sb, out=v[2])
-        flat = v.reshape(3 * b, p)
-        vx = (flat @ xb.T).reshape(3, b, b)
-        quad = (np.einsum("ki,ki->k", flat @ a, flat).reshape(3, b)
-                + np.einsum("kti,kti,kti->kt", vx, vx, masks[:, :b, :b]))
-        # ||A_t||^2 - ||A_{t-1}||^2 = 2 x_t' A_{t-1} x_t + q_t^2, where
-        # A_{t-1} is a plus the block's rows before t: nonnegative steps.
-        frob[out] = frob[lo] + np.cumsum(2.0 * quad[0] + qb * qb)
-        quads[:, out] = quad[1:]
-        ub = u + np.cumsum(qb[:, None] * xb, axis=0)
-        u_dots[:, out] = np.einsum("ti,kti->kt", ub, v[1:])
-        u = ub[-1]
-        a += xb.T @ xb
-    (s_quad, rest_quad), (u_s, u_r) = quads, u_dots
-    q1, q2 = _cumsum0(q), _cumsum0(q * q)
-    cross2 = _cumsum0(_row_dots(x @ tot.a, x)) - frob
-    # s_t' A_n s_t, and r_t' A_n r_t from A_n r_t = A_n s_n - A_n s_t.
-    sa = s @ tot.a
-    s_tot = _row_dots(sa, s)
-    r = tot.s - s
-    np.subtract(tot.a @ tot.s, sa, out=sa)
-    r_tot = _row_dots(sa, r)
+    q, ss, rr, sr, x_tot, s_tot, r_tot, r_u, x_quad, s_quad, rest_quad, u_s, u_r = _row_sums(x, tot)
+    qq = q * q
+    q1, q2 = np.cumsum(q), np.cumsum(qq)
+    # ||A_t||^2 - ||A_{t-1}||^2 = 2 x_t' A_{t-1} x_t + q_t^2: nonnegative steps.
+    frob = np.cumsum(2.0 * x_quad + qq)
+    cross2 = np.cumsum(x_tot) - frob
     # The suffix's ||B_t||_F^2: all pairs, minus the prefix's and the crossing ones.
     suf_frob = tot.frob - frob - 2.0 * cross2
     suf_q2 = tot.q2 - q2
     return _complete(
-        pre1=_row_dots(s, s) - q1,
+        pre1=ss - q1,
         pre2=frob - q2,
         pre3=s_quad - 2.0 * u_s - frob + 2.0 * q2,
-        suf1=_row_dots(r, r) - (tot.q1 - q1),
+        suf1=rr - (tot.q1 - q1),
         suf2=suf_frob - suf_q2,
-        suf3=(r_tot - rest_quad) - 2.0 * (r @ tot.u - u_r) - suf_frob + 2.0 * suf_q2,
-        cross1=_row_dots(s, r),
+        suf3=(r_tot - rest_quad) - 2.0 * (r_u - u_r) - suf_frob + 2.0 * suf_q2,
+        cross1=sr,
         cross2=cross2,
         cross3_mid_suf=s_tot - s_quad - cross2,
         cross3_mid_pre=rest_quad - cross2,
     )
 
 
-def _feature_terms(x: np.ndarray) -> _SweepTerms:
+def _feature_terms(x: np.ndarray, center: np.ndarray | float = 0.0) -> _SweepTerms:
     """The sums of :func:`_sweep_terms` from p x p moments, without the Gram matrix.
 
-    O(n p^2 + n b p) time and O(n p + p^2 + b^2) memory for row blocks of
-    b = _FEATURE_BLOCK.  Each row is swept once: a forward pass over rows
+    The sums are those of the rows x_i - center; ``_terms`` passes the
+    column means.  O(n p^2 + n b p) time for row blocks of b =
+    _FEATURE_BLOCK.  Each row is swept once: a forward pass over rows
     0 .. h-1, h = n // 2, serves the splits t < h, whose prefix is the
     shorter side, and a pass over the reversed rows n-1 .. h+1 the splits
     t >= h, whose suffix is.  Each pass sums the shorter side directly and
     takes the longer one as totals minus the shorter (see the module
-    docstring).  Accurate for centered x; the sums themselves are not
+    docstring).  Accurate for centered rows; the sums themselves are not
     translation invariant.
+
+    A first pass forms the totals, then each sweep reads the rows one
+    block at a time, so no n x p array is formed.  Beside x it holds the
+    thirteen O(n) sums, a pass's thirteen O(n / 2) row-wise sums and
+    O(b p + b^2 + p^2) per block.  Traced peaks: 0.57 MB at n = 2000,
+    p = 50 (x takes 0.8 MB) and 23 MB at n = 10^5, p = 20 (x takes 16 MB).
     """
     n = x.shape[0]
     h = n // 2
-    q = _row_dots(x, x)
-    a = x.T @ x
-    tot = _Totals(x.sum(axis=0), a, q @ x, q.sum(), q @ q, np.einsum("ij,ij->", a, a))
-    fwd = _side_sums(x[:h], tot)                    # split t at entry t + 1
-    bwd = _side_sums(x[:h:-1], tot).mirrored()      # split t at entry n - 1 - t
-    return _SweepTerms(*(np.concatenate((f[1:], b[::-1])) for f, b in zip(fwd, bwd)))
+    tot = _totals(x, center)
+    terms = np.empty((len(_SweepTerms._fields), n))
+    for row, f in zip(terms, _side_sums(x[:h], tot)):              # split t at entry t + 1
+        row[:h] = f[1:]
+    for row, b in zip(terms, _side_sums(x[:h:-1], tot).mirrored()):  # at entry n - 1 - t
+        row[h:] = b[::-1]
+    return _SweepTerms(*terms)
 
 
 def _curve(terms: _SweepTerms, n: int) -> CovStatResult:
@@ -407,7 +450,7 @@ def _terms(x: np.ndarray, g: np.ndarray | None = None) -> _SweepTerms:
     """The thirteen sums on the path the shape picks, from centered data unless g is given."""
     n, p = x.shape
     if n >= _FEATURE_ROWS_PER_COLUMN * p:
-        return _feature_terms(x - x.mean(axis=0))
+        return _feature_terms(x, x.mean(axis=0))
     return _sweep_terms(_centered_gram(x) if g is None else g)
 
 
@@ -432,4 +475,8 @@ def cov_stat_curve(data, g: np.ndarray | None = None) -> CovStatResult:
     n = x.shape[0]
     if n < 8:
         raise SampleTooSmallError(f"covariance-shift curve needs n >= 8, got {n}")
+    if g is not None and np.shape(g) != (n, n):
+        raise NotAMatrixError(
+            f"g must be the {n} x {n} Gram matrix of the data, got shape {np.shape(g)}"
+        )
     return _curve(_terms(x, g), n)

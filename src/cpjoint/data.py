@@ -36,6 +36,8 @@ def _float_matrix(values) -> np.ndarray:
         raise NotAMatrixError(f"expected a numeric matrix: {exc}") from None
     if values.ndim != 2:
         raise NotAMatrixError(f"expected a 2-d matrix, got ndim={values.ndim}")
+    if values.shape[1] == 0:
+        raise NotAMatrixError(f"expected at least one column, got shape {values.shape}")
     return values
 
 

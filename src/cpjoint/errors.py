@@ -29,10 +29,6 @@ class NegativeInputError(CpjointError, ValueError):
     """A nonnegative argument was negative."""
 
 
-class AlphaRangeError(CpjointError, ValueError):
-    """A significance level is not strictly inside (0, 1)."""
-
-
 class DegenerateScaleError(CpjointError, ValueError):
     """The data carry no usable variation, or their scale leaves the double range."""
 
@@ -51,3 +47,7 @@ class NotPSDError(CpjointError, ValueError):
 
 class BadParamError(CpjointError, ValueError):
     """A simulation or configuration parameter is outside its valid range."""
+
+
+class AlphaRangeError(BadParamError):
+    """A significance level is not a number strictly inside (0, 1)."""

@@ -235,9 +235,17 @@ def _public_profiles(entry: _Entry, lam: float) -> _Profiles:
     return prof
 
 
+def _strictly_inside(value, lo: float, hi: float) -> bool:
+    """Whether lo < value < hi; False for a value that does not compare as a number."""
+    try:
+        return bool(lo < value < hi)
+    except (TypeError, ValueError):
+        return False
+
+
 def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha < 1.0):
-        raise AlphaRangeError(f"alpha={alpha} not strictly inside (0, 1)")
+    if not _strictly_inside(alpha, 0.0, 1.0):
+        raise AlphaRangeError(f"alpha={alpha!r} is not a number strictly inside (0, 1)")
 
 
 def detect(data, alpha: float = 0.05, calibration: str = "plug_in") -> TestOutcome:
@@ -262,8 +270,8 @@ class _Grid(NamedTuple):
 
 
 def _search_grid(n: int, lam: float) -> _Grid:
-    if not (0.0 < lam < 0.5):
-        raise BadParamError(f"lambda={lam} not strictly inside (0, 0.5)")
+    if not _strictly_inside(lam, 0.0, 0.5):
+        raise BadParamError(f"lambda={lam!r} is not a number strictly inside (0, 0.5)")
     margin = int(math.floor(lam * n))
     lo = max(margin, 4)
     hi = min(n - margin, n - 4)

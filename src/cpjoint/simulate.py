@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
@@ -24,7 +25,15 @@ import numpy as np
 
 from .data import Dataset
 from .errors import BadParamError, NotPSDError, NotSymmetricError
-from .pipeline import Method, _check_calibration, _decide, _outcome, _profiles, _statistics
+from .pipeline import (
+    Method,
+    _check_alpha,
+    _check_calibration,
+    _decide,
+    _outcome,
+    _profiles,
+    _statistics,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -41,6 +50,14 @@ class CovScenario(str, enum.Enum):
 class ErrorDist(str, enum.Enum):
     NORMAL = "normal"
     T9_STANDARDIZED = "t9"
+
+
+def _as_int(value, field: str) -> int:
+    """``value`` as an int, numpy integers included, or a BadParamError naming ``field``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadParamError(f"{field}={value!r} is not an integer") from None
 
 
 def _as_member(spec, field: str, kind: type[enum.Enum]) -> None:
@@ -87,6 +104,9 @@ class SimulationModel:
     seed: int
 
     def __post_init__(self) -> None:
+        ints = ("n", "p", "seed") if self.tau_star is None else ("n", "p", "tau_star", "seed")
+        for name in ints:
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         for name, size in (("n", self.n), ("p", self.p)):
             if size < 1:
                 raise BadParamError(f"{name}={size} must be at least 1")
@@ -274,10 +294,11 @@ def run_experiment(
     error is reported alongside its rejection rate.  ``calibration`` is
     as in :func:`cpjoint.detect`.
     """
+    reps = _as_int(reps, "reps")
+    parallelism = _as_int(parallelism, "parallelism")
     if reps < 1:
         raise BadParamError(f"reps={reps} must be at least 1")
-    if not (0.0 < alpha < 1.0):
-        raise BadParamError(f"alpha={alpha} not strictly inside (0, 1)")
+    _check_alpha(alpha)
     if parallelism < 1:
         raise BadParamError(f"parallelism={parallelism} must be at least 1")
     _check_calibration(calibration)

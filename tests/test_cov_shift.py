@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cpjoint import (
+    NotAMatrixError,
     SampleTooSmallError,
     cov_stat_curve,
     gram,
@@ -387,3 +388,11 @@ def test_signal_expectation_matches_covariance_gap():
         vals[r] = cov_stat_curve(x).per_tau.value_at(tau_star)
     stderr = vals.std(ddof=1) / np.sqrt(reps)
     assert abs(vals.mean() - 10.0) <= 3.0 * stderr
+
+
+@pytest.mark.parametrize("shape", [(40, 39), (39, 39), (40,), (40, 40, 1)])
+@pytest.mark.parametrize("p", [30, 5], ids=["gram_path", "feature_path"])
+def test_caller_gram_of_the_wrong_shape_named(shape, p):
+    x = np.random.default_rng(310).standard_normal((40, p))
+    with pytest.raises(NotAMatrixError, match=r"40 x 40 Gram matrix"):
+        cov_stat_curve(x, np.zeros(shape))

@@ -8,6 +8,7 @@ from cpjoint import (
     Dataset,
     ErrorDist,
     NonFiniteValueError,
+    NotAMatrixError,
     SimulationModel,
     StatCurve,
     TooFewObservationsError,
@@ -58,6 +59,12 @@ class TestDatasetFromMatrix:
     def test_requires_2d(self):
         with pytest.raises(ValueError):
             dataset_from_matrix(np.zeros(10))
+
+    def test_no_columns_named(self):
+        with pytest.raises(NotAMatrixError, match=r"at least one column.*\(10, 0\)"):
+            Dataset(np.empty((10, 0)))
+        with pytest.raises(NotAMatrixError, match="column"):
+            detect(np.empty((10, 0)))
 
 
 class TestCopyRule:

@@ -10,6 +10,7 @@ from cpjoint import (
     ErrorDist,
     SimulationModel,
     cli,
+    cov_shift,
     detect,
     gen_dataset,
     mean_stat_curve,
@@ -65,6 +66,21 @@ def test_detect_on_a_long_series_stays_below_five_copies(monkeypatch):
     x = np.random.default_rng(2).standard_normal((2000, 50))
     monkeypatch.setattr(pipeline, "_last_seen", None)
     assert traced_peak(detect, x) < 4.7 * x.nbytes
+
+
+def test_detect_on_a_long_series_holds_about_two_copies(monkeypatch):
+    # The feature path reads the stored rows one block at a time: beside
+    # the copy it holds O(n) sums and O(b p + b^2 + p^2) per block.
+    x = np.random.default_rng(2).standard_normal((2000, 50))
+    monkeypatch.setattr(pipeline, "_last_seen", None)
+    assert traced_peak(detect, x) < 2.25 * x.nbytes
+
+
+def test_feature_terms_form_no_n_by_p_temporary():
+    # n >= 4p: the feature path.  Its thirteen O(n) sums are 0.13 x.nbytes
+    # here; a centered copy or any n x p array would be 1x.
+    x = np.random.default_rng(4).standard_normal((8000, 100))
+    assert traced_peak(cov_shift._terms, x) < 0.5 * x.nbytes
 
 
 def test_detect_far_from_the_origin_holds_two_copies(monkeypatch):

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import re
 import sys
 import threading
 import warnings
@@ -112,6 +113,16 @@ class TestDetect:
     def test_alpha_validation(self, alpha):
         with pytest.raises(AlphaRangeError):
             detect(_null_data(), alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", ["0.05", None, [0.05]])
+    def test_non_numeric_alpha_named(self, alpha):
+        with pytest.raises(AlphaRangeError, match=re.escape(f"alpha={alpha!r}")):
+            detect(_null_data(), alpha=alpha)
+
+    @pytest.mark.parametrize("lam", ["0.2", None])
+    def test_non_numeric_lam_named(self, lam):
+        with pytest.raises(BadParamError, match="lambda="):
+            localize(_null_data(), lam=lam)
 
     # 200 x 100 runs the Gram path of the covariance sweep, 400 x 20 the
     # feature-space path.

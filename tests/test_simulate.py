@@ -7,6 +7,7 @@ import pytest
 
 from cpjoint import simulate
 from cpjoint import (
+    AlphaRangeError,
     BadParamError,
     CovScenario,
     CovSpec,
@@ -172,6 +173,19 @@ class TestSimulationModel:
         with pytest.raises(BadParamError, match=f"{field}={value}"):
             _model(tau_star=None, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 20.5), ("p", 3.0), ("tau_star", 10.5), ("seed", 1.5), ("n", "60"), ("p", None)],
+    )
+    def test_non_integer_field_named(self, field, value):
+        with pytest.raises(BadParamError, match=f"{field}=.*not an integer"):
+            _model(**{field: value})
+
+    def test_numpy_integers_accepted_as_ints(self):
+        model = _model(n=np.int64(60), p=np.int32(6), tau_star=np.uint16(30), seed=np.uint64(42))
+        assert model == _model()
+        assert all(type(getattr(model, f)) is int for f in ("n", "p", "tau_star", "seed"))
+
     @pytest.mark.parametrize("tau_star", [None, 30])
     @pytest.mark.parametrize(
         "scenario, dist",
@@ -285,6 +299,21 @@ class TestRunExperiment:
     def test_alpha_validation(self):
         with pytest.raises(BadParamError):
             run_experiment(_model(), reps=2, alpha=1.5)
+
+    @pytest.mark.parametrize("alpha", [1.5, "x", None, math.nan])
+    def test_alpha_gets_the_error_type_of_detect(self, alpha):
+        with pytest.raises(AlphaRangeError, match="alpha="):
+            run_experiment(_model(), reps=2, alpha=alpha)
+
+    @pytest.mark.parametrize("field, value", [("reps", 2.5), ("parallelism", 1.5), ("reps", "2")])
+    def test_non_integer_count_named(self, field, value):
+        kwargs = {"reps": 2, field: value}
+        with pytest.raises(BadParamError, match=f"{field}=.*not an integer"):
+            run_experiment(_model(), **kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        report = run_experiment(_model(), reps=np.int64(2), parallelism=np.int32(1))
+        assert report.rep_count == 2
 
     def test_calibration_validation(self):
         with pytest.raises(BadParamError):
