@@ -12,13 +12,16 @@ thirteen running index-tuple sums, which two paths compute:
 
 - the Gram path (:func:`_sweep_terms`, n < 4p) sweeps the n x n Gram
   matrix in blocks of b columns: O(n^2) on top of the O(n^2 p) Gram build,
-  holding g plus O(n b) memory;
+  holding g plus one 2 x n x b buffer, the column prefix and suffix sums
+  of one block;
 - the feature path (:func:`_feature_terms`, n >= 4p) writes every sum as
   a polynomial in prefix moments s_t = sum x_i, A_t = sum x_i x_i',
   q_i = |x_i|^2 and u_t = sum q_i x_i, e.g. the sum of g_ij^2 over the
   prefix is |A_t|_F^2 - sum q_i^2.  O(n p^2) time.  It reads the data
-  one block of rows at a time, so beside them it holds the thirteen
-  O(n) sums and O(b p + b^2 + p^2) per block: a traced peak of 0.57 MB
+  one block of rows at a time in two passes, and :func:`_pass_curve`
+  evaluates the curve on each pass's splits as soon as the pass ends.
+  So beside the data it holds four rows of n, one pass's thirteen sums
+  of n / 2 and O(b p + b^2 + p^2) per block: a traced peak of 0.42 MB
   at n = 2000, p = 50, whose data take 0.8 MB.
 
 Each split has a shorter and a longer side.  Both paths sum the shorter
@@ -59,24 +62,24 @@ from .errors import NotAMatrixError, SampleTooSmallError
 #: 2-core Xeon:
 #:
 #:     p    n      Gram ms  feature ms   Gram MB  feature MB
-#:     50   2p       0.4       0.8        0.31      0.20
-#:     50   3p       0.7       1.2        0.62      0.27
-#:     50   4p       1.6       1.3        1.04      0.28
-#:     50   5p       2.0       1.5        1.58      0.29
-#:     50   6p       1.9       1.9        1.77      0.29
-#:     50   8p       5.0       2.5        2.65      0.31
-#:     100  2p       1.0       2.6        1.04      0.59
-#:     100  3p       2.0       3.6        1.77      0.60
-#:     100  4p       5.0       4.9        2.65      0.62
-#:     100  5p       8.0       5.6        4.10      0.64
-#:     100  6p       8.5       7.9        5.29      0.65
-#:     100  8p      16.0       9.6        8.17      0.68
-#:     200  2p       4.5      11.6        2.65      1.65
-#:     200  3p       7.3      16.2        5.29      1.68
-#:     200  4p      16.3      21.6        8.17      1.72
-#:     200  5p      23.8      27.1       12.13      1.75
-#:     200  6p      36.6      33.0       16.27      1.78
-#:     200  8p      65.5      41.5       26.97      1.84
+#:     50   2p       0.4       0.8        0.32      0.20
+#:     50   3p       0.7       1.2        0.47      0.26
+#:     50   4p       1.6       1.3        0.73      0.26
+#:     50   5p       2.0       1.5        1.09      0.27
+#:     50   6p       1.9       1.9        1.30      0.27
+#:     50   8p       5.0       2.5        2.03      0.28
+#:     100  2p       1.0       2.6        0.73      0.55
+#:     100  3p       2.0       3.6        1.30      0.55
+#:     100  4p       5.0       4.9        2.03      0.56
+#:     100  5p       8.0       5.6        3.14      0.57
+#:     100  6p       8.5       7.9        4.20      0.58
+#:     100  8p      16.0       9.6        6.81      0.60
+#:     200  2p       4.5      11.6        2.03      1.38
+#:     200  3p       7.3      16.2        4.20      1.40
+#:     200  4p      16.3      21.6        6.81      1.41
+#:     200  5p      23.8      27.1       10.28      1.43
+#:     200  6p      36.6      33.0       14.16      1.45
+#:     200  8p      65.5      41.5       24.10      1.48
 #:
 #: The Gram path is faster up to 3p and the two are about even at 4p; the
 #: feature path is faster from 5p to 6p on and lighter from 2p on, so the
@@ -86,8 +89,8 @@ _FEATURE_ROWS_PER_COLUMN = 4
 _BLOCK = 128
 #: Rows per block of the feature-space sweep.  Its per-block temporaries
 #: grow with the square of the block: at n = 2000, p = 50 the kernel's
-#: traced peak is 0.50 MB with 32 rows, 0.57 MB with 64 and 0.96 MB with
-#: 128, and 32 to 128 rows take 10-12 ms, within the noise of each other.
+#: traced peak is 0.31 MB with 32 rows, 0.42 MB with 64 and 0.81 MB with
+#: 128, and 32 to 128 rows take 8-14 ms, 32 the slowest.
 _FEATURE_BLOCK = 64
 
 
@@ -166,8 +169,8 @@ def _sweep_terms(g: np.ndarray) -> _SweepTerms:
     With C[t, j] the sum of g[i, j] over i <= t, i != j and S[t, j] the sum
     over i > t, i != j, the three-index sums need per row t the sums of C^2
     and S^2 over j <= t and over j > t.  C and S are built for one block of
-    about _BLOCK columns at a time, with one cumsum: O(n^2) time and O(n b)
-    memory beside g.
+    about _BLOCK columns at a time, with one cumsum, in one 2 x n x b buffer
+    that every block reuses: O(n^2) time and O(n b) memory beside g.
     """
     n = g.shape[0]
     # edge[side, power, t]: sums of g[i, t]^power over i < t (side 0) and
@@ -180,24 +183,32 @@ def _sweep_terms(g: np.ndarray) -> _SweepTerms:
     bounds = [n * k // n_blocks for k in range(n_blocks + 1)]
     width = -(-n // n_blocks)
     masks = _block_masks(width, g.dtype)
+    # One buffer for every block's C and S, so no two blocks' are alive at once.
+    buf = np.empty(2 * n * width, dtype=g.dtype)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         # Columns j = lo .. hi-1.  Rows above the block have only j > t, rows
         # below it only j <= t; the square diagonal block takes the masks.
+        # The first block has no rows above it, the last none below it.
         b = hi - lo
         gj = g[:, lo:hi]
-        top = gj[:lo]
         # In the diagonal block, masks[1] also marks the rows i < j.
-        edge[0, 1, lo:hi] = (np.einsum("ij,ij->j", top, top)
-                             + np.einsum("ij,ij,ij->j", gj[lo:hi], gj[lo:hi], masks[1, :b, :b]))
-        cs = np.empty((2, n, b), dtype=g.dtype)      # C, S
+        col = np.einsum("ij,ij,ij->j", gj[lo:hi], gj[lo:hi], masks[1, :b, :b])
+        if lo:
+            col += np.einsum("ij,ij->j", gj[:lo], gj[:lo])
+        edge[0, 1, lo:hi] = col
+        cs = buf[: 2 * n * b].reshape(2, n, b)      # C, S
+        # C and S at [t, t - lo] for the rows t of the block.
+        on_diagonal = buf[: 2 * n * b].reshape(2, n * b)[:, lo * b : hi * b : b + 1]
         c = cs[0]
         c[...] = gj
-        np.fill_diagonal(c[lo:hi], 0.0)
+        on_diagonal[0] = 0.0
         np.cumsum(c, axis=0, out=c)
         np.subtract(c[-1], c, out=cs[1])
-        edge[:, 0, lo:hi] = np.diagonal(cs[:, lo:hi], axis1=1, axis2=2)
-        rows[:, 1, :lo] += np.einsum("kij,kij->ki", cs[:, :lo], cs[:, :lo])
-        rows[:, 0, hi:] += np.einsum("kij,kij->ki", cs[:, hi:], cs[:, hi:])
+        edge[:, 0, lo:hi] = on_diagonal
+        if lo:
+            rows[:, 1, :lo] += np.einsum("kij,kij->ki", cs[:, :lo], cs[:, :lo])
+        if hi < n:
+            rows[:, 0, hi:] += np.einsum("kij,kij->ki", cs[:, hi:], cs[:, hi:])
         block = np.square(cs[:, lo:hi], out=cs[:, lo:hi])
         rows[:, :, lo:hi] += np.einsum("sij,kij->ski", block, masks[:, :b, :b])
 
@@ -205,32 +216,41 @@ def _sweep_terms(g: np.ndarray) -> _SweepTerms:
     edge[1, 1] = np.einsum("ij,ij->j", g, g) - edge[0, 1] - np.diagonal(g) ** 2
     head = np.cumsum(edge, axis=2)      # over the columns 0 .. t
     tail = _tail_sums(edge)             # over the columns t+1 .. n-1
-    pre1, pre2 = 2.0 * head[0]
-    suf1, suf2 = 2.0 * tail[1]
+    out = np.empty((len(_SweepTerms._fields), n), dtype=g.dtype)
+    t = _SweepTerms(*out)
+    np.multiply(head[0], 2.0, out=out[0:2])     # pre1, pre2
+    np.multiply(tail[1], 2.0, out=out[4:6])     # suf1, suf2
     # Each row's partners after it, minus its partners before it, summed over
     # the prefix; or the mirror image over the suffix, whichever is shorter.
-    cross1, cross2 = np.where(np.arange(n) < n // 2, head[1] - head[0], tail[0] - tail[1])
+    h = n // 2
+    np.subtract(head[1, :, :h], head[0, :, :h], out=out[8:10, :h])     # cross1, cross2
+    np.subtract(tail[0, :, h:], tail[1, :, h:], out=out[8:10, h:])
     # Three distinct indices sharing the middle one j: the partners i, k of
     # each j contribute C^2 or S^2 minus the i == k terms, which sum to
     # pre2 or cross2 (partners in the prefix) and cross2 or suf2 (suffix).
     (c_low, c_up), (s_low, s_up) = rows
-    return _complete(
-        pre1, pre2, c_low - pre2, suf1, suf2, s_up - suf2,
-        cross1, cross2, c_up - cross2, s_low - cross2,
-    )
+    np.subtract(c_low, t.pre2, out=t.pre3)
+    np.subtract(s_up, t.suf2, out=t.suf3)
+    np.subtract(c_up, t.cross2, out=t.cross3_mid_suf)
+    np.subtract(s_low, t.cross2, out=t.cross3_mid_pre)
+    return _complete(t)
 
 
-def _complete(pre1, pre2, pre3, suf1, suf2, suf3,
-              cross1, cross2, cross3_mid_suf, cross3_mid_pre) -> _SweepTerms:
-    """Add the four-index sums, which follow from the two- and three-index ones."""
+def _complete(t: _SweepTerms) -> _SweepTerms:
+    """Fill in the four-index sums, which follow from the two- and three-index ones.
+
+    Each is written into its own row of t, in place; the others are read.
+    """
     # Subtract every coincidence pattern from the square of the two-index sum.
-    pre4 = pre1**2 - 2.0 * pre2 - 4.0 * pre3
-    suf4 = suf1**2 - 2.0 * suf2 - 4.0 * suf3
-    cross4 = cross1**2 - cross3_mid_suf - cross3_mid_pre - cross2
-    return _SweepTerms(
-        pre1, pre2, pre3, pre4, suf1, suf2, suf3, suf4,
-        cross1, cross2, cross3_mid_suf, cross3_mid_pre, cross4,
-    )
+    for out, s1, s2, s3 in ((t.pre4, t.pre1, t.pre2, t.pre3), (t.suf4, t.suf1, t.suf2, t.suf3)):
+        np.square(s1, out=out)
+        out -= 2.0 * s2
+        out -= 4.0 * s3
+    cross4 = np.square(t.cross1, out=t.cross4)
+    cross4 -= t.cross3_mid_suf
+    cross4 -= t.cross3_mid_pre
+    cross4 -= t.cross2
+    return t
 
 
 class _Totals(NamedTuple):
@@ -279,7 +299,8 @@ def _row_sums(x: np.ndarray, tot: _Totals) -> np.ndarray:
     width = min(_FEATURE_BLOCK, m)
     masks = _feature_masks(width, x.dtype)
     buf = np.empty((3 * width, p))          # x_t, s_t and r_t of a block
-    work = np.empty(3 * width * max(p + 1, width))
+    # Also holds x_b' x_b, which would otherwise be a p x p temporary.
+    work = np.empty(max(3 * width * max(p + 1, width), p * p))
     a = np.zeros((p, p))                    # A_t and u_t at the start of the block
     u = np.zeros(p)
     s_end = np.zeros(p)                     # s_t at the end of the last block
@@ -315,7 +336,7 @@ def _row_sums(x: np.ndarray, tot: _Totals) -> np.ndarray:
         qb = acc[0, out]
         acc[11:, out] += np.einsum("kti,ti,i->kt", vx[1:], masks[1, :b, :b], qb)
         acc[8:11, out] += np.einsum("kti,kti,kti->kt", vx, vx, masks[:, :b, :b])
-        a += xb.T @ xb
+        a += np.matmul(xb.T, xb, out=work[: p * p].reshape(p, p))
         u += qb @ xb
         s_end[...] = sb[-1]
     return acc
@@ -329,94 +350,186 @@ def _side_sums(x: np.ndarray, tot: _Totals) -> _SweepTerms:
     prefix sums are polynomials in its moments s_t, A_t, u_t and
     ||A_t||_F^2, e.g. pre2 = ||A_t||_F^2 - sum q_i^2; the suffix sums are
     the totals minus the prefix's, with r_t = s_n - s_t for the suffix's
-    row sum.
+    row sum.  The formulas run in place in the rows :func:`_row_sums`
+    returns, with three more rows and one temporary at a time.
     """
-    q, ss, rr, sr, x_tot, s_tot, r_tot, r_u, x_quad, s_quad, rest_quad, u_s, u_r = _row_sums(x, tot)
-    qq = q * q
-    q1, q2 = np.cumsum(q), np.cumsum(qq)
+    acc = _row_sums(x, tot)
+    q, ss, rr, sr, x_tot, s_tot, r_tot, r_u, x_quad, s_quad, rest_quad, u_s, u_r = acc
+    qq, suf_frob, suf_q2 = np.empty((3, acc.shape[1]))
+    np.square(q, out=qq)
+    q1 = np.cumsum(q, out=q)
     # ||A_t||^2 - ||A_{t-1}||^2 = 2 x_t' A_{t-1} x_t + q_t^2: nonnegative steps.
-    frob = np.cumsum(2.0 * x_quad + qq)
-    cross2 = np.cumsum(x_tot) - frob
+    x_quad *= 2.0
+    x_quad += qq
+    frob = np.cumsum(x_quad, out=x_quad)
+    q2 = np.cumsum(qq, out=qq)
+    cross2 = np.cumsum(x_tot, out=x_tot)
+    cross2 -= frob
     # The suffix's ||B_t||_F^2: all pairs, minus the prefix's and the crossing ones.
-    suf_frob = tot.frob - frob - 2.0 * cross2
-    suf_q2 = tot.q2 - q2
-    return _complete(
-        pre1=ss - q1,
-        pre2=frob - q2,
-        pre3=s_quad - 2.0 * u_s - frob + 2.0 * q2,
-        suf1=rr - (tot.q1 - q1),
-        suf2=suf_frob - suf_q2,
-        suf3=(r_tot - rest_quad) - 2.0 * (r_u - u_r) - suf_frob + 2.0 * suf_q2,
-        cross1=sr,
-        cross2=cross2,
-        cross3_mid_suf=s_tot - s_quad - cross2,
-        cross3_mid_pre=rest_quad - cross2,
-    )
+    np.subtract(tot.frob, frob, out=suf_frob)
+    suf_frob -= 2.0 * cross2
+    np.subtract(tot.q2, q2, out=suf_q2)
+    # Each row below becomes the sum it is renamed to; a row is overwritten
+    # only after its last read.
+    pre1 = ss
+    pre1 -= q1
+    suf1 = rr
+    suf1 -= np.subtract(tot.q1, q1, out=q1)
+    cross3_mid_suf = s_tot
+    cross3_mid_suf -= s_quad
+    cross3_mid_suf -= cross2
+    pre3 = s_quad
+    pre3 -= 2.0 * u_s
+    pre3 -= frob
+    pre3 += 2.0 * q2
+    pre2 = frob
+    pre2 -= q2
+    suf3 = r_tot
+    suf3 -= rest_quad
+    r_u -= u_r
+    suf3 -= 2.0 * r_u
+    suf3 -= suf_frob
+    suf3 += 2.0 * suf_q2
+    cross3_mid_pre = rest_quad
+    cross3_mid_pre -= cross2
+    suf2 = suf_frob
+    suf2 -= suf_q2
+    # The rows of q, u_s and u_r, read for the last time above, take the
+    # four-index sums.
+    return _complete(_SweepTerms(pre1, pre2, pre3, q, suf1, suf2, suf3, u_s,
+                                 sr, cross2, cross3_mid_suf, cross3_mid_pre, u_r))
+
+
+def _feature_passes(x: np.ndarray, center: np.ndarray | float):
+    """The two sweeps of the feature path, formed one at a time, as (first, terms).
+
+    Entry i of each of the thirteen sums is the split after first + i
+    rows.  The forward pass over rows 0 .. h-1, h = n // 2, serves the
+    splits after 1 .. h rows, whose prefix is the shorter side, and a
+    pass over the reversed rows n-1 .. h+1 the splits after h+1 .. n
+    rows, whose suffix is.  A consumer drops a pass before it asks for
+    the next, so that only one pass's sums are alive.
+    """
+    n = x.shape[0]
+    h = n // 2
+    tot = _totals(x, center)
+    yield 1, _SweepTerms(*(f[1:] for f in _side_sums(x[:h], tot)))
+    yield h + 1, _SweepTerms(*(f[::-1] for f in _side_sums(x[:h:-1], tot).mirrored()))
+
+
+def _passes(x: np.ndarray, g: np.ndarray | None = None):
+    """The sums on the path the shape picks, as :func:`_feature_passes` yields them.
+
+    From the centered data unless g is given.  The Gram path is one pass.
+    """
+    n, p = x.shape
+    if n >= _FEATURE_ROWS_PER_COLUMN * p:
+        yield from _feature_passes(x, x.mean(axis=0))
+    else:
+        yield 1, _sweep_terms(_centered_gram(x) if g is None else g)
+
+
+def _place(rows, first: int, sums) -> None:
+    """Copy a pass's sums into rows indexed by t = 0 .. n-1, the split after t + 1 rows."""
+    for row, f in zip(rows, sums):
+        row[first - 1 : first - 1 + len(f)] = f
 
 
 def _feature_terms(x: np.ndarray, center: np.ndarray | float = 0.0) -> _SweepTerms:
     """The sums of :func:`_sweep_terms` from p x p moments, without the Gram matrix.
 
-    The sums are those of the rows x_i - center; ``_terms`` passes the
+    The sums are those of the rows x_i - center; the pipeline passes the
     column means.  O(n p^2 + n b p) time for row blocks of b =
-    _FEATURE_BLOCK.  Each row is swept once: a forward pass over rows
-    0 .. h-1, h = n // 2, serves the splits t < h, whose prefix is the
-    shorter side, and a pass over the reversed rows n-1 .. h+1 the splits
-    t >= h, whose suffix is.  Each pass sums the shorter side directly and
+    _FEATURE_BLOCK.  Each row is swept once, in one of the two passes of
+    :func:`_feature_passes`.  Each pass sums the shorter side directly and
     takes the longer one as totals minus the shorter (see the module
     docstring).  Accurate for centered rows; the sums themselves are not
     translation invariant.
 
     A first pass forms the totals, then each sweep reads the rows one
-    block at a time, so no n x p array is formed.  Beside x it holds the
-    thirteen O(n) sums, a pass's thirteen O(n / 2) row-wise sums and
-    O(b p + b^2 + p^2) per block.  Traced peaks: 0.57 MB at n = 2000,
-    p = 50 (x takes 0.8 MB) and 23 MB at n = 10^5, p = 20 (x takes 16 MB).
+    block at a time, so no n x p array is formed.  The statistics never
+    form this 13 x n result: :func:`_pass_curve` evaluates each pass as
+    it ends, and the pipeline keeps four rows of n.
     """
-    n = x.shape[0]
-    h = n // 2
-    tot = _totals(x, center)
-    terms = np.empty((len(_SweepTerms._fields), n))
-    for row, f in zip(terms, _side_sums(x[:h], tot)):              # split t at entry t + 1
-        row[:h] = f[1:]
-    for row, b in zip(terms, _side_sums(x[:h:-1], tot).mirrored()):  # at entry n - 1 - t
-        row[h:] = b[::-1]
+    terms = np.empty((len(_SweepTerms._fields), x.shape[0]))
+    for first, sums in _feature_passes(x, center):
+        _place(terms, first, sums)
+        del sums
     return _SweepTerms(*terms)
 
 
-def _curve(terms: _SweepTerms, n: int) -> CovStatResult:
-    """Per-split values and aggregate from the index-tuple sums."""
-    taus = np.arange(4, n - 3)
-    k = taus - 1                           # prefix of tau rows ends at row tau-1
-    m1 = taus.astype(np.float64)
+def _split_values(terms: _SweepTerms, first: int, n: int, out=None) -> np.ndarray:
+    """The curve at the splits after first, first + 1, ... rows, from the sums there.
+
+    Runs in place: it overwrites every sum but pre1, suf1 and cross1, and
+    holds about six more rows of their length.
+    """
+    m1 = np.arange(first, first + len(terms.pre1), dtype=np.float64)
     m2 = n - m1
     perm2_pre = m1 * (m1 - 1.0)
-    perm3_pre = perm2_pre * (m1 - 2.0)
-    perm4_pre = perm3_pre * (m1 - 3.0)
     perm2_suf = m2 * (m2 - 1.0)
-    perm3_suf = perm2_suf * (m2 - 2.0)
-    perm4_suf = perm3_suf * (m2 - 3.0)
+    for (s2, s3, s4), m, perm2 in (
+        (terms[1:4], m1, perm2_pre),
+        (terms[5:8], m2, perm2_suf),
+    ):
+        # s2 / perm2 - 2 s3 / perm3 + s4 / perm4, into s2.
+        s2 /= perm2
+        perm = perm2 * (m - 2.0)
+        s3 *= 2.0
+        s3 /= perm
+        s2 -= s3
+        perm *= m - 3.0
+        s4 /= perm
+        s2 += s4
+    across = terms.cross2
+    across /= m1 * m2
+    across -= np.divide(terms.cross3_mid_suf, perm2_pre * m2, out=terms.cross3_mid_suf)
+    across -= np.divide(terms.cross3_mid_pre, m1 * perm2_suf, out=terms.cross3_mid_pre)
+    across += np.divide(terms.cross4, perm2_pre * perm2_suf, out=terms.cross4)
+    across *= 2.0
+    out = np.add(terms.pre2, terms.suf2, out=out)
+    out -= across
+    return out
 
-    within_pre = (
-        terms.pre2[k] / perm2_pre
-        - 2.0 * terms.pre3[k] / perm3_pre
-        + terms.pre4[k] / perm4_pre
-    )
-    within_suf = (
-        terms.suf2[k] / perm2_suf
-        - 2.0 * terms.suf3[k] / perm3_suf
-        + terms.suf4[k] / perm4_suf
-    )
-    across = (
-        terms.cross2[k] / (m1 * m2)
-        - terms.cross3_mid_suf[k] / (perm2_pre * m2)
-        - terms.cross3_mid_pre[k] / (m1 * perm2_suf)
-        + terms.cross4[k] / (perm2_pre * perm2_suf)
-    )
-    per_tau = within_pre + within_suf - 2.0 * across
 
-    aggregate = float(np.dot(m1 * m2 / n, per_tau))
+def _cov_result(per_tau: np.ndarray, n: int) -> CovStatResult:
+    """The curve at the splits 4 .. n-4 with its aggregate."""
+    m1 = np.arange(4, n - 3, dtype=np.float64)
+    aggregate = float(np.dot(m1 * (n - m1) / n, per_tau))
     return CovStatResult(StatCurve(4, n - 4, per_tau), aggregate)
+
+
+def _curve(terms: _SweepTerms, n: int) -> CovStatResult:
+    """Per-split values and aggregate from the index-tuple sums, which it leaves as they are."""
+    k = slice(3, n - 4)                     # a prefix of tau rows ends at row tau - 1
+    return _cov_result(_split_values(_SweepTerms(*(f[k].copy() for f in terms)), 4, n), n)
+
+
+def _pass_curve(first: int, terms: _SweepTerms, n: int, curve: np.ndarray) -> None:
+    """Write the curve at the splits one pass serves into ``curve``, the splits 4 .. n-4.
+
+    It is formed in place in the pass's sums (see :func:`_split_values`).
+    """
+    lo, hi = max(first, 4), min(first + len(terms.pre1), n - 3)
+    split = _SweepTerms(*(f[lo - first : hi - first] for f in terms))
+    _split_values(split, lo, n, out=curve[lo - 4 : hi - 4])
+
+
+def _curves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The curve at the splits 4 .. n-4, and the rows pre1, suf1 and cross1 at t = 0 .. n-1.
+
+    Those three sums are the mean curve's pair sums.  Each pass's curve
+    is formed as soon as the pass ends, so beside one pass this holds
+    four rows of n.
+    """
+    n = x.shape[0]
+    curve = np.empty(n - 7)
+    pairs = np.empty((3, n))
+    for first, terms in _passes(x):
+        _place(pairs, first, (terms.pre1, terms.suf1, terms.cross1))
+        _pass_curve(first, terms, n, curve)
+        del terms       # freed before the next pass is formed
+    return curve, pairs
 
 
 def _centered_gram(x: np.ndarray) -> np.ndarray:
@@ -440,18 +553,13 @@ def _centered_gram(x: np.ndarray) -> np.ndarray:
     x = np.require(x, requirements=("C", "A"))
     g = x @ x.T
     a = x @ m
+    shift = np.empty((min(_BLOCK, n), n))
     for lo in range(0, n, _BLOCK):
         # a_i + a_j == a_j + a_i bitwise, so g stays exactly symmetric.
-        g[lo : lo + _BLOCK] -= (a[lo : lo + _BLOCK, None] + a) - mm
+        rows = np.add(a[lo : lo + _BLOCK, None], a, out=shift[: min(_BLOCK, n - lo)])
+        rows -= mm
+        g[lo : lo + _BLOCK] -= rows
     return g
-
-
-def _terms(x: np.ndarray, g: np.ndarray | None = None) -> _SweepTerms:
-    """The thirteen sums on the path the shape picks, from centered data unless g is given."""
-    n, p = x.shape
-    if n >= _FEATURE_ROWS_PER_COLUMN * p:
-        return _feature_terms(x, x.mean(axis=0))
-    return _sweep_terms(_centered_gram(x) if g is None else g)
 
 
 def cov_stat_curve(data, g: np.ndarray | None = None) -> CovStatResult:
@@ -479,4 +587,8 @@ def cov_stat_curve(data, g: np.ndarray | None = None) -> CovStatResult:
         raise NotAMatrixError(
             f"g must be the {n} x {n} Gram matrix of the data, got shape {np.shape(g)}"
         )
-    return _curve(_terms(x, g), n)
+    curve = np.empty(n - 7)
+    for first, terms in _passes(x, g):
+        _pass_curve(first, terms, n, curve)
+        del terms       # freed before the next pass is formed
+    return _cov_result(curve, n)

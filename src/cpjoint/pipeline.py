@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .cov_shift import CovStatResult, _curve, _terms
+from .cov_shift import CovStatResult, _cov_result, _curves
 from .data import Dataset, StatCurve, _float_matrix
 from .errors import (
     AlphaRangeError,
@@ -140,11 +140,10 @@ def _statistics(data: Dataset) -> _Statistics:
         # The data are finite, so a non-finite curve is an overflow too.
         with np.errstate(over="raise", invalid="raise"):
             calib = calibrate(trace_sigma2_hat(data), n)
-            terms = _terms(data.values)
+            curve, pairs = _curves(data.values)
             # Prefixes of 2 .. n-2 rows: the mean curve's pair sums.
-            k = slice(1, n - 2)
-            mean_result = _mean_result(terms.pre1[k], terms.suf1[k], terms.cross1[k], n)
-            return _Statistics(calib, mean_result, _curve(terms, n))
+            mean_result = _mean_result(*pairs[:, 1 : n - 2], n)
+            return _Statistics(calib, mean_result, _cov_result(curve, n))
     except (FloatingPointError, NonFiniteValueError):
         raise DegenerateScaleError(
             f"data scale out of range: entries up to {np.abs(data.values).max():.3g} "
@@ -201,8 +200,13 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     if a.shape != b.shape:
         return False
     a, b = a.view(np.int64), b.view(np.int64)
-    # Row 0 first: data that differ almost always differ there.
-    return bool(np.array_equal(a[0], b[0]) and np.array_equal(a, b))
+    # Blocks of about 64K entries, so that no n x p bool array is formed
+    # (8K-entry blocks took twice as long at 200 x 5000); the first block
+    # first, as data that differ almost always differ in row 0.
+    rows = max(1, (1 << 16) // a.shape[1])
+    return all(
+        np.array_equal(a[lo : lo + rows], b[lo : lo + rows]) for lo in range(0, len(a), rows)
+    )
 
 
 def _entry(data) -> _Entry:
@@ -269,9 +273,18 @@ class _Grid(NamedTuple):
     hi: int
 
 
-def _search_grid(n: int, lam: float) -> _Grid:
+def _check_lam(lam: float) -> None:
+    """The rule of :func:`_search_grid` that can fail before the data are read.
+
+    For n >= 8, the smallest dataset there is, no lam in (0, 0.5) leaves
+    the grid empty, so callers check lam before the analysis.
+    """
     if not _strictly_inside(lam, 0.0, 0.5):
         raise BadParamError(f"lambda={lam!r} is not a number strictly inside (0, 0.5)")
+
+
+def _search_grid(n: int, lam: float) -> _Grid:
+    _check_lam(lam)
     margin = int(math.floor(lam * n))
     lo = max(margin, 4)
     hi = min(n - margin, n - 4)
@@ -318,6 +331,7 @@ def localize(data, lam: float = 0.2) -> LocalizationOutcome:
     clamped to [4, n - 4] so both per-split statistics exist.  Ties break
     toward the smallest split.
     """
+    _check_lam(lam)
     prof = _public_profiles(_entry(data), lam)
     return LocalizationOutcome(
         tau_hat=_argmax_tau(prof.taus, prof.fused),
@@ -357,6 +371,7 @@ def baselines(
     ``calibration`` is as in :func:`detect`.
     """
     _check_alpha(alpha)
+    _check_lam(lam)
     _check_calibration(calibration)
     entry = _entry(data)
     outcome = _outcome(entry.dataset, entry.statistics, calibration, alpha)

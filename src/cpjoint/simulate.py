@@ -29,6 +29,7 @@ from .pipeline import (
     Method,
     _check_alpha,
     _check_calibration,
+    _check_lam,
     _decide,
     _outcome,
     _profiles,
@@ -131,6 +132,7 @@ def mix_seed(seed: int, rep: int) -> int:
     the mapping is bijective in the seed for each rep, so distinct
     replications get well-separated streams.
     """
+    seed, rep = _as_int(seed, "seed"), _as_int(rep, "rep")
     z = (seed + (rep + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -299,6 +301,7 @@ def run_experiment(
     if reps < 1:
         raise BadParamError(f"reps={reps} must be at least 1")
     _check_alpha(alpha)
+    _check_lam(lam)
     if parallelism < 1:
         raise BadParamError(f"parallelism={parallelism} must be at least 1")
     _check_calibration(calibration)

@@ -13,6 +13,7 @@ from cpjoint import (
     cov_shift,
     detect,
     gen_dataset,
+    gram,
     mean_stat_curve,
     pipeline,
     trace_sigma2_hat,
@@ -80,7 +81,7 @@ def test_feature_terms_form_no_n_by_p_temporary():
     # n >= 4p: the feature path.  Its thirteen O(n) sums are 0.13 x.nbytes
     # here; a centered copy or any n x p array would be 1x.
     x = np.random.default_rng(4).standard_normal((8000, 100))
-    assert traced_peak(cov_shift._terms, x) < 0.5 * x.nbytes
+    assert traced_peak(cov_shift._feature_terms, x, x.mean(axis=0)) < 0.5 * x.nbytes
 
 
 def test_detect_far_from_the_origin_holds_two_copies(monkeypatch):
@@ -95,6 +96,55 @@ def test_detect_on_float32_holds_one_float64_copy(wide, monkeypatch):
     # The float64 conversion is private, so it is stored, not copied again.
     monkeypatch.setattr(pipeline, "_last_seen", None)
     assert traced_peak(detect, wide.astype(np.float32)) < 1.25 * wide.nbytes
+
+
+def warm_detect_peak(x, monkeypatch) -> int:
+    """Traced peak of a fresh analysis of x by detect.
+
+    A first call on the reversed rows fills the cached block masks of its
+    shape, which a long-running process has already paid for.
+    """
+    detect(x[::-1])
+    monkeypatch.setattr(pipeline, "_last_seen", None)
+    return traced_peak(detect, x)
+
+
+def test_detect_at_the_paper_setting_holds_the_gram_matrix_and_one_sweep_buffer(monkeypatch):
+    # 200 x 100: beside the 0.16 MB copy, the 0.32 MB centered Gram matrix
+    # and one 0.32 MB block buffer of the sweep.  A second block buffer, or
+    # two b x n temporaries per block of the centering, would pass 1 MB.
+    x = np.random.default_rng(5).standard_normal((200, 100))
+    assert warm_detect_peak(x, monkeypatch) < 6.25 * x.nbytes
+
+
+def test_gram_sweep_holds_one_block_buffer():
+    # n = 400: one C/S buffer of 2 x n x 100 is half of g; a second one
+    # alive at the next block takes the peak to about g.nbytes.
+    g = gram(np.random.default_rng(7).standard_normal((400, 500)))
+    cov_shift._sweep_terms(g)
+    assert traced_peak(cov_shift._sweep_terms, g) < 0.7 * g.nbytes
+
+
+def test_reuse_check_forms_no_n_by_p_temporary():
+    # np.array_equal over the whole matrix forms an n x p bool array, an
+    # eighth of x; the check compares blocks of about 64K entries.
+    x = np.random.default_rng(8).standard_normal((200, 5000))
+    assert traced_peak(pipeline._same_bits, x, x.copy()) < 0.05 * x.nbytes
+
+
+def test_detect_on_a_long_series_holds_one_pass_of_sums(monkeypatch):
+    # 2000 x 50: beside the copy, one pass's sums (13 rows of n / 2), four
+    # rows of n and the block buffers.  The 13 x n sums of both passes, or
+    # a trace buffer of more than an eighth of the data, pass 1.55x.
+    x = np.random.default_rng(2).standard_normal((2000, 50))
+    assert warm_detect_peak(x, monkeypatch) < 1.55 * x.nbytes
+
+
+def test_detect_on_a_very_long_series_stays_below_30_mb(monkeypatch):
+    # 10^5 x 20, 16 MB of data: the sums of both passes at once took the
+    # peak to 39 MB.
+    x = np.random.default_rng(6).standard_normal((100_000, 20))
+    assert warm_detect_peak(x, monkeypatch) <= 30e6
 
 
 @pytest.fixture(scope="module")

@@ -124,6 +124,17 @@ class TestDetect:
         with pytest.raises(BadParamError, match="lambda="):
             localize(_null_data(), lam=lam)
 
+    @pytest.mark.parametrize("call", [localize, baselines], ids=["localize", "baselines"])
+    @pytest.mark.parametrize("lam", [None, 0.7, 0.0])
+    def test_lam_checked_before_the_analysis(self, call, lam, monkeypatch):
+        analysed = []
+        monkeypatch.setattr(pipeline, "_statistics", analysed.append)
+        monkeypatch.setattr(pipeline, "_last_seen", None)
+        with pytest.raises(BadParamError, match="lambda="):
+            call(_null_data(seed=13), lam=lam)
+        assert analysed == []
+        assert pipeline._last_seen is None
+
     # 200 x 100 runs the Gram path of the covariance sweep, 400 x 20 the
     # feature-space path.
     @pytest.mark.parametrize("shape", [(200, 100), (400, 20)])

@@ -1,5 +1,6 @@
 """Covariance designs, data generation, seeding, and the experiment harness."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -143,6 +144,18 @@ class TestMixSeed:
     def test_stays_in_64_bits(self):
         for rep in range(100):
             assert 0 <= mix_seed(2**63, rep) < 2**64
+
+    @pytest.mark.parametrize(
+        "field, args", [("seed", (1.5, 2)), ("rep", (1, 2.0)), ("seed", ("7", 0))]
+    )
+    def test_non_integer_argument_named(self, field, args):
+        with pytest.raises(BadParamError, match=f"{field}=.*not an integer"):
+            mix_seed(*args)
+
+    def test_numpy_integers_give_the_same_seed(self):
+        assert mix_seed(np.uint64(2**64 - 1), np.int32(7)) == 4638043754431676516
+        assert mix_seed(np.int64(12345), np.uint8(0)) == 2454886589211414944
+        assert type(mix_seed(np.int64(0), np.int64(1))) is int
 
 
 class TestSimulationModel:
@@ -310,6 +323,20 @@ class TestRunExperiment:
         kwargs = {"reps": 2, field: value}
         with pytest.raises(BadParamError, match=f"{field}=.*not an integer"):
             run_experiment(_model(), **kwargs)
+
+    @pytest.mark.parametrize("lam", [0.7, 0.0, None])
+    def test_lam_checked_before_a_pool_starts(self, lam, monkeypatch):
+        started = []
+
+        def record(*args, **kwargs):
+            started.append(args)
+            raise AssertionError("run_experiment started work before checking lam")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
+        monkeypatch.setattr(simulate, "_one_rep", record)
+        with pytest.raises(BadParamError, match="lambda="):
+            run_experiment(_model(), reps=4, lam=lam, parallelism=2)
+        assert started == []
 
     def test_numpy_integer_counts_accepted(self):
         report = run_experiment(_model(), reps=np.int64(2), parallelism=np.int32(1))
