@@ -11,9 +11,10 @@ sums of Gram entries g_ij and their squares turns every piece into one of
 thirteen running index-tuple sums, which two paths compute:
 
 - the Gram path (:func:`_sweep_terms`, n < 4p) sweeps the n x n Gram
-  matrix in blocks of b columns: O(n^2) on top of the O(n^2 p) Gram build,
-  holding g plus one 2 x n x b buffer, the column prefix and suffix sums
-  of one block;
+  matrix in blocks of b columns: O(n^2) on top of the O(n^2 p) Gram build.
+  It turns each block of g in place into its column prefix sums and then
+  its suffix sums, so it holds g and O(n): a traced peak of 0.55 MB for
+  ``detect`` at n = 200, p = 100, whose data take 0.16 MB and g 0.32 MB;
 - the feature path (:func:`_feature_terms`, n >= 4p) writes every sum as
   a polynomial in prefix moments s_t = sum x_i, A_t = sum x_i x_i',
   q_i = |x_i|^2 and u_t = sum q_i x_i, e.g. the sum of g_ij^2 over the
@@ -38,9 +39,9 @@ Both paths compute the sums of the centered rows: the statistic is
 translation invariant, the sums are not, and on raw data far from the
 origin they cancel away the digits of the curve.  The feature path
 centers each block as it reads it.  A Gram matrix the caller passes in
-is used as given.  Three of the sums, pre1, suf1 and cross1, are also
-the pair sums of the mean-shift curve, which the pipeline reads off
-this sweep.
+is checked and copied, then used as given.  Three of the sums, pre1,
+suf1 and cross1, are also the pair sums of the mean-shift curve, which
+the pipeline reads off this sweep.
 
 The sums are exposed for testing because the cancellation-heavy
 four-index identities deserve direct verification against brute force.
@@ -48,6 +49,7 @@ four-index identities deserve direct verification against brute force.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -55,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import StatCurve, as_matrix
-from .errors import NotAMatrixError, SampleTooSmallError
+from .errors import NonFiniteValueError, NotAMatrixError, NotSymmetricError, SampleTooSmallError
 
 #: The feature path runs when n >= _FEATURE_ROWS_PER_COLUMN * p.  Curve
 #: time (least of ten medians of 9) and traced peak of each path on a
@@ -85,8 +87,17 @@ from .errors import NotAMatrixError, SampleTooSmallError
 #: feature path is faster from 5p to 6p on and lighter from 2p on, so the
 #: switch stays at 4p.
 _FEATURE_ROWS_PER_COLUMN = 4
-#: Columns per block of the Gram sweep, rows per block of the Gram centering.
+#: Columns per block of the Gram sweep, rows per block of the check of a
+#: caller's g.
 _BLOCK = 128
+#: Rows per chunk of the Gram centering, whose shifts so take O(n) memory.
+_CENTER_ROWS = 16
+#: Elements per operand of numpy's ufunc iteration buffers in the kernels.
+#: With numpy's default of 8192, numpy 2.4 allocates up to 64 KB per
+#: operand of a strided or broadcast ufunc: 196 KB for S = C[-1] - C on a
+#: 1000 x 125 panel of g, 1 KB with 256, where it also ran in 126 us
+#: instead of 253 (2-core Xeon).
+_BUFFER_SIZE = 256
 #: Rows per block of the feature-space sweep.  Its per-block temporaries
 #: grow with the square of the block: at n = 2000, p = 50 the kernel's
 #: traced peak is 0.31 MB with 32 rows, 0.42 MB with 64 and 0.81 MB with
@@ -135,6 +146,21 @@ class _SweepTerms(NamedTuple):
                            self.cross3_mid_pre, self.cross3_mid_suf, self.cross4)
 
 
+@contextlib.contextmanager
+def _small_buffers():
+    """Run with ufunc iteration buffers of _BUFFER_SIZE elements, then restore the caller's size.
+
+    Inside run elementwise ufuncs, running sums, einsum and matrix
+    products, whose results do not depend on the buffer size; ufunc
+    reductions, whose pairwise blocks might, stay outside.
+    """
+    old = np.setbufsize(_BUFFER_SIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _tail_sums(v: np.ndarray) -> np.ndarray:
     """Sums of v[..., t+1:] for every t, accumulated from the end."""
     out = np.zeros_like(v)
@@ -160,6 +186,7 @@ def _feature_masks(width: int, dtype: np.dtype) -> np.ndarray:
     return masks
 
 
+@_small_buffers()
 def _sweep_terms(g: np.ndarray) -> _SweepTerms:
     """The thirteen sums from the Gram matrix, swept in blocks of columns.
 
@@ -168,9 +195,13 @@ def _sweep_terms(g: np.ndarray) -> _SweepTerms:
     short prefix or suffix never comes out as a difference of long ones.
     With C[t, j] the sum of g[i, j] over i <= t, i != j and S[t, j] the sum
     over i > t, i != j, the three-index sums need per row t the sums of C^2
-    and S^2 over j <= t and over j > t.  C and S are built for one block of
-    about _BLOCK columns at a time, with one cumsum, in one 2 x n x b buffer
-    that every block reuses: O(n^2) time and O(n b) memory beside g.
+    and S^2 over j <= t and over j > t.  One block of about _BLOCK columns
+    at a time gives its edge sums from the raw columns, then becomes C in
+    place, by one cumsum, and S = C[-1] - C in turn: O(n^2) time and O(n)
+    memory beside g.
+
+    g is consumed: on return it holds no Gram entries.  A caller that
+    reads g again hands the sweep a copy.
     """
     n = g.shape[0]
     # edge[side, power, t]: sums of g[i, t]^power over i < t (side 0) and
@@ -183,40 +214,50 @@ def _sweep_terms(g: np.ndarray) -> _SweepTerms:
     bounds = [n * k // n_blocks for k in range(n_blocks + 1)]
     width = -(-n // n_blocks)
     masks = _block_masks(width, g.dtype)
-    # One buffer for every block's C and S, so no two blocks' are alive at once.
-    buf = np.empty(2 * n * width, dtype=g.dtype)
+    out = np.empty((len(_SweepTerms._fields), n), dtype=g.dtype)
+    diagonal_squares = np.diagonal(g) ** 2
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         # Columns j = lo .. hi-1.  Rows above the block have only j > t, rows
         # below it only j <= t; the square diagonal block takes the masks.
         # The first block has no rows above it, the last none below it.
         b = hi - lo
-        gj = g[:, lo:hi]
+        c = g[:, lo:hi]
+        block = c[lo:hi]
+        on_diagonal = np.einsum("ii->i", block)     # a writable view
         # In the diagonal block, masks[1] also marks the rows i < j.
-        col = np.einsum("ij,ij,ij->j", gj[lo:hi], gj[lo:hi], masks[1, :b, :b])
+        col = np.einsum("ij,ij,ij->j", block, block, masks[1, :b, :b], out=edge[0, 1, lo:hi])
         if lo:
-            col += np.einsum("ij,ij->j", gj[:lo], gj[:lo])
-        edge[0, 1, lo:hi] = col
-        cs = buf[: 2 * n * b].reshape(2, n, b)      # C, S
+            col += np.einsum("ij,ij->j", c[:lo], c[:lo])
+        np.einsum("ij,ij->j", c, c, out=edge[1, 1, lo:hi])     # whole columns
+        on_diagonal[...] = 0.0
+        np.cumsum(c, axis=0, out=c)                 # C
+        last = c[-1].copy()
         # C and S at [t, t - lo] for the rows t of the block.
-        on_diagonal = buf[: 2 * n * b].reshape(2, n * b)[:, lo * b : hi * b : b + 1]
-        c = cs[0]
-        c[...] = gj
-        on_diagonal[0] = 0.0
-        np.cumsum(c, axis=0, out=c)
-        np.subtract(c[-1], c, out=cs[1])
-        edge[:, 0, lo:hi] = on_diagonal
-        if lo:
-            rows[:, 1, :lo] += np.einsum("kij,kij->ki", cs[:, :lo], cs[:, :lo])
-        if hi < n:
-            rows[:, 0, hi:] += np.einsum("kij,kij->ki", cs[:, hi:], cs[:, hi:])
-        block = np.square(cs[:, lo:hi], out=cs[:, lo:hi])
-        rows[:, :, lo:hi] += np.einsum("sij,kij->ski", block, masks[:, :b, :b])
+        edge[0, 0, lo:hi] = on_diagonal
+        np.subtract(last, on_diagonal, out=edge[1, 0, lo:hi])
+        for half, part in ((1, slice(0, lo)), (0, slice(hi, n))):
+            other = c[part]
+            if len(other):
+                rows[0, half, part] += np.einsum("ij,ij->i", other, other)
+                np.subtract(last, other, out=other)     # S
+                rows[1, half, part] += np.einsum("ij,ij->i", other, other)
+        # The diagonal block needs C^2 and S^2 at once: its S^2 goes to rows
+        # already spent, the larger side outside the block or, with one
+        # block, the rows of out, not yet written; then its C^2 in place.
+        spare = max(c[:lo], c[hi:], key=len) if n_blocks > 1 else out
+        for r0 in range(0, b, len(spare)):
+            r1 = min(r0 + len(spare), b)
+            sq = np.subtract(last, block[r0:r1], out=spare[: r1 - r0])
+            np.square(sq, out=sq)
+            rows[1, :, lo + r0 : lo + r1] += np.einsum("ij,kij->ki", sq, masks[:, r0:r1, :b])
+        np.square(block, out=block)
+        rows[0, :, lo:hi] += np.einsum("ij,kij->ki", block, masks[:, :b, :b])
 
     # Below the diagonal by difference, column by column.
-    edge[1, 1] = np.einsum("ij,ij->j", g, g) - edge[0, 1] - np.diagonal(g) ** 2
+    edge[1, 1] -= edge[0, 1]
+    edge[1, 1] -= diagonal_squares
     head = np.cumsum(edge, axis=2)      # over the columns 0 .. t
     tail = _tail_sums(edge)             # over the columns t+1 .. n-1
-    out = np.empty((len(_SweepTerms._fields), n), dtype=g.dtype)
     t = _SweepTerms(*out)
     np.multiply(head[0], 2.0, out=out[0:2])     # pre1, pre2
     np.multiply(tail[1], 2.0, out=out[4:6])     # suf1, suf2
@@ -426,7 +467,7 @@ def _passes(x: np.ndarray, g: np.ndarray | None = None):
     if n >= _FEATURE_ROWS_PER_COLUMN * p:
         yield from _feature_passes(x, x.mean(axis=0))
     else:
-        yield 1, _sweep_terms(_centered_gram(x) if g is None else g)
+        yield 1, _sweep_terms(_centered_gram(x) if g is None else _caller_gram(g, p))
 
 
 def _place(rows, first: int, sums) -> None:
@@ -536,29 +577,61 @@ def _centered_gram(x: np.ndarray) -> np.ndarray:
     """The Gram matrix of the column-centered rows, exactly symmetric like ``gram``.
 
     With m the column means and a = x m, the raw Gram matrix g is centered
-    in place: (x_i - m) . (x_j - m) = g_ij - a_i - a_j + |m|^2.  That form
-    rounds like g, whose entries grow by 1 + |m|^2 / s^2 against the
+    in place: (x_i - m) . (x_j - m) = g_ij - ((a_i + a_j) - |m|^2).  That
+    form rounds like g, whose entries grow by 1 + |m|^2 / s^2 against the
     centered ones for s^2 the mean squared norm of the centered rows, so
     it is taken while |m| <= s: at most one bit lost, and no copy of the
-    data.  Data farther from the origin are centered in one n x p copy.
+    data.  The shifts are formed _CENTER_ROWS rows at a time, so beside g
+    this holds O(n).  Data farther from the origin are centered in one
+    n x p copy.
     """
     n = x.shape[0]
     m = x.mean(axis=0)
     mm = float(m @ m)
     # The mean squared row norm is s^2 + |m|^2.
     if n * mm > 0.5 * float(np.einsum("ij,ij->", x, x)):
-        xc = x - m
+        with _small_buffers():
+            xc = x - m
         return xc @ xc.T
     # Contiguous and aligned, so that x @ x.T is a symmetric syrk (see gram).
     x = np.require(x, requirements=("C", "A"))
     g = x @ x.T
     a = x @ m
-    shift = np.empty((min(_BLOCK, n), n))
+    shift = np.empty((min(_CENTER_ROWS, n), n))
+    with _small_buffers():
+        for lo in range(0, n, _CENTER_ROWS):
+            hi = min(lo + _CENTER_ROWS, n)
+            # a_i + a_j == a_j + a_i bitwise, so g stays exactly symmetric.
+            rows = np.add(a[lo:hi, None], a, out=shift[: hi - lo])
+            rows -= mm
+            g[lo:hi] -= rows
+    return g
+
+
+def _caller_gram(g, p: int) -> np.ndarray:
+    """A private float64 copy of a caller's n x n Gram matrix, checked before any sweep.
+
+    g must be finite, and symmetric up to rounding: |g_ij - g_ji| <=
+    p eps max_k |g_kk|, for p the number of columns of the data.  Each
+    entry is a p-term dot product, within about p eps / 2 |x_i| |x_j| of
+    its exact value (Higham 2002, sec. 3.1), so the two triangles of any
+    computed Gram matrix lie within that bound of each other: ``gram``'s
+    are equal, and a general matrix product's (gemm) round apart.
+    """
+    try:
+        g = as_matrix(g).copy()
+    except NonFiniteValueError:
+        raise NonFiniteValueError("g contains NaN or Inf") from None
+    n = len(g)
+    limit = p * np.finfo(np.float64).eps * np.abs(np.diagonal(g)).max()
     for lo in range(0, n, _BLOCK):
-        # a_i + a_j == a_j + a_i bitwise, so g stays exactly symmetric.
-        rows = np.add(a[lo : lo + _BLOCK, None], a, out=shift[: min(_BLOCK, n - lo)])
-        rows -= mm
-        g[lo : lo + _BLOCK] -= rows
+        gap = np.subtract(g[lo : lo + _BLOCK], g[:, lo : lo + _BLOCK].T)
+        worst = np.abs(gap, out=gap).max()
+        if worst > limit:
+            raise NotSymmetricError(
+                f"g is not symmetric: |g_ij - g_ji| reaches {worst:.3g}, "
+                f"above the {limit:.3g} that rounding allows"
+            )
     return g
 
 
@@ -574,10 +647,13 @@ def cov_stat_curve(data, g: np.ndarray | None = None) -> CovStatResult:
         Time-ordered observations, n >= 8.
     g : ndarray, optional
         Precomputed ``gram(data)``, used only on the Gram path (n < 4p).
-        It is taken as given, on the raw data, so it yields the uncentered
-        statistic: equal in exact arithmetic, but it loses digits to
-        cancellation for data far from the origin.  Without it the Gram
-        matrix is built from the centered columns.
+        There it is copied, so the caller's g is left as it was, and the
+        copy is checked: NaN or Inf raise ``NonFiniteValueError``, a g
+        that is not symmetric up to rounding ``NotSymmetricError``.  It
+        is taken on the raw data, so it yields the uncentered statistic:
+        equal in exact arithmetic, but it loses digits to cancellation for
+        data far from the origin.  Without it the Gram matrix is built
+        from the centered columns.
     """
     x = as_matrix(data)
     n = x.shape[0]

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cpjoint import (
+    NonFiniteValueError,
     NotAMatrixError,
+    NotSymmetricError,
     SampleTooSmallError,
     cov_stat_curve,
     gram,
@@ -63,7 +65,7 @@ def test_sweep_terms_match_brute_force(seed):
     rng = np.random.default_rng(seed)
     n = 10
     g = gram(rng.standard_normal((n, 2)))
-    terms = _sweep_terms(g)
+    terms = _sweep_terms(g.copy())
     for tau in (4, 5, 6):
         expected = brute_force_terms(g, tau)
         for name, value in expected.items():
@@ -78,7 +80,7 @@ def test_blocked_sweep_matches_brute_force(n, block, monkeypatch):
     monkeypatch.setattr(cov_shift, "_BLOCK", block)
     rng = np.random.default_rng(10 * n + block)
     g = gram(rng.standard_normal((n, 3)) + 0.5)
-    terms = _sweep_terms(g)
+    terms = _sweep_terms(g.copy())
     expected = [brute_force_terms(g, tau) for tau in range(1, n)]
     for name in expected[0]:
         want = np.array([e[name] for e in expected])
@@ -233,8 +235,8 @@ def test_caller_gram_gives_the_uncentered_statistic():
     assert np.abs(raw - own).max() <= 1e-9 * np.abs(own).max()
 
 
-# Near the origin the raw Gram matrix is centered in place, _BLOCK rows at
-# a time, also with a ragged last block of 7; farther out, in one copy.
+# Near the origin the raw Gram matrix is centered in place, in chunks of
+# rows, also with a ragged last chunk of 7 rows; farther out, in one copy.
 @pytest.mark.parametrize(
     "shape, offset, block",
     [((60, 40), 0.5, 128), ((50, 300), 0.5, 128), ((20, 45), 0.5, 7),
@@ -242,7 +244,7 @@ def test_caller_gram_gives_the_uncentered_statistic():
     ids=["in_place", "in_place_wide", "rows_of_7", "copy", "copy_wide"],
 )
 def test_centered_gram_is_symmetric_and_centered(shape, offset, block, monkeypatch):
-    monkeypatch.setattr(cov_shift, "_BLOCK", block)
+    monkeypatch.setattr(cov_shift, "_CENTER_ROWS", block)
     x = np.random.default_rng(307).standard_normal(shape) + offset
     g = cov_shift._centered_gram(x)
     xl = x.astype(np.longdouble)
@@ -396,3 +398,66 @@ def test_caller_gram_of_the_wrong_shape_named(shape, p):
     x = np.random.default_rng(310).standard_normal((40, p))
     with pytest.raises(NotAMatrixError, match=r"40 x 40 Gram matrix"):
         cov_stat_curve(x, np.zeros(shape))
+
+
+def test_caller_gram_is_left_as_it_was():
+    # 150 x 60 takes the Gram path in two column blocks, which consume
+    # the matrix they sweep.
+    x = np.random.default_rng(311).standard_normal((150, 60))
+    g = gram(x)
+    kept = g.copy()
+    shared = cov_stat_curve(x, g)
+    assert g.tobytes() == kept.tobytes()
+    assert np.array_equal(cov_stat_curve(x, g).per_tau.values, shared.per_tau.values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_caller_gram_with_nan_or_inf_named_before_the_sweep(bad, monkeypatch):
+    def no_sweep(g):
+        raise AssertionError("swept an unchecked g")
+
+    monkeypatch.setattr(cov_shift, "_sweep_terms", no_sweep)
+    x = np.random.default_rng(312).standard_normal((20, 30))
+    g = gram(x)
+    g[3, 5] = g[5, 3] = bad
+    with pytest.raises(NonFiniteValueError, match="g contains NaN or Inf"):
+        cov_stat_curve(x, g)
+
+
+def test_caller_gram_that_is_not_symmetric_named():
+    rng = np.random.default_rng(313)
+    x = rng.standard_normal((20, 30))
+    with pytest.raises(NotSymmetricError, match="g is not symmetric"):
+        cov_stat_curve(x, rng.standard_normal((20, 20)))
+
+
+@pytest.mark.parametrize("product", ["gram", "gemm"])
+def test_computed_gram_matrices_pass_the_symmetry_check(product):
+    # gram's syrk gives equal triangles; a general product of x and a copy
+    # of it rounds each triangle on its own, within p eps max g_kk.
+    x = np.random.default_rng(314).standard_normal((300, 500)) + 0.3
+    g = gram(x) if product == "gram" else x @ x.copy().T
+    if product == "gemm" and np.array_equal(g, g.T):
+        pytest.skip("this BLAS rounds both triangles alike")
+    own = cov_stat_curve(x, gram(x)).per_tau.values
+    assert np.abs(cov_stat_curve(x, g).per_tau.values - own).max() <= 1e-9 * np.abs(own).max()
+
+
+def test_gram_path_leaves_the_callers_buffer_size_as_it_was(monkeypatch):
+    # The Gram kernels run numpy's ufuncs with small iteration buffers and
+    # restore the caller's setting on return and on error.
+    x = np.random.default_rng(315).standard_normal((60, 40)) + 0.5
+
+    def fail(v):
+        raise RuntimeError("stopped inside the sweep")
+
+    old = np.setbufsize(4096)
+    try:
+        cov_stat_curve(x)
+        assert np.getbufsize() == 4096
+        monkeypatch.setattr(cov_shift, "_tail_sums", fail)
+        with pytest.raises(RuntimeError, match="stopped inside the sweep"):
+            cov_stat_curve(x)
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)

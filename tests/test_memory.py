@@ -121,8 +121,33 @@ def test_gram_sweep_holds_one_block_buffer():
     # n = 400: one C/S buffer of 2 x n x 100 is half of g; a second one
     # alive at the next block takes the peak to about g.nbytes.
     g = gram(np.random.default_rng(7).standard_normal((400, 500)))
-    cov_shift._sweep_terms(g)
+    cov_shift._sweep_terms(g.copy())
     assert traced_peak(cov_shift._sweep_terms, g) < 0.7 * g.nbytes
+
+
+def test_detect_at_the_paper_setting_sweeps_the_gram_matrix_in_place(monkeypatch):
+    # 200 x 100: beside the 0.16 MB copy and the 0.32 MB centered Gram
+    # matrix, O(n) sums.  A 2 x n x b sweep buffer, a 128 x n centering
+    # block or numpy's 64 KB iteration buffers would pass 4.75x.
+    x = np.random.default_rng(5).standard_normal((200, 100))
+    assert warm_detect_peak(x, monkeypatch) < 4.75 * x.nbytes
+
+
+def test_gram_sweep_holds_no_block_buffer():
+    # n = 400: the sweep forms C and S in g's own columns; one 2 x n x 100
+    # buffer would be half of g, one n x 100 block a quarter.
+    g = gram(np.random.default_rng(7).standard_normal((400, 500)))
+    cov_shift._sweep_terms(g.copy())
+    assert traced_peak(cov_shift._sweep_terms, g) < 0.3 * g.nbytes
+
+
+def test_detect_at_1000x500_holds_the_data_and_the_gram_matrix(monkeypatch):
+    # Beside the copy (4 MB) and g (8 MB), the sweep and the centering
+    # add O(n).  A 2 x n x 128 sweep buffer and a 128 x n centering block
+    # took it to 1.19x.
+    x = np.random.default_rng(9).standard_normal((1000, 500))
+    n = x.shape[0]
+    assert warm_detect_peak(x, monkeypatch) < 1.1 * (x.nbytes + 8 * n * n)
 
 
 def test_reuse_check_forms_no_n_by_p_temporary():
