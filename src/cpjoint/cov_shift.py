@@ -10,11 +10,16 @@ Evaluated literally the kernel sums are quartic in n.  Expanding them into
 sums of Gram entries g_ij and their squares turns every piece into one of
 thirteen running index-tuple sums, which two paths compute:
 
-- the Gram path (:func:`_sweep_terms`, n < 4p) sweeps the n x n Gram
-  matrix in blocks of b columns: O(n^2) on top of the O(n^2 p) Gram build.
-  It turns each block of g in place into its column prefix sums and then
-  its suffix sums, so it holds g and O(n): a traced peak of 0.55 MB for
-  ``detect`` at n = 200, p = 100, whose data take 0.16 MB and g 0.32 MB;
+- the Gram path (:func:`_sweep`, n < 4p) sweeps the n x n Gram matrix
+  in blocks of b columns: O(n^2) on top of the O(n^2 p) Gram build.
+  :func:`_centered_panels` forms the matrix one panel of whole blocks,
+  at most max(p, b) columns, at a time, and the sweep turns each block
+  in place into its column prefix sums and then its suffix sums.  So it
+  holds one panel of at most n max(p, b) entries and O(n), and the whole
+  matrix only where one panel covers it: a traced peak of 0.39 MB for
+  ``detect`` at n = 200, p = 100, whose data take 0.16 MB and g would
+  take 0.32 MB.  Where p < n the panels cost up to twice the flops of
+  one symmetric product;
 - the feature path (:func:`_feature_terms`, n >= 4p) writes every sum as
   a polynomial in prefix moments s_t = sum x_i, A_t = sum x_i x_i',
   q_i = |x_i|^2 and u_t = sum q_i x_i, e.g. the sum of g_ij^2 over the
@@ -61,31 +66,32 @@ from .errors import NonFiniteValueError, NotAMatrixError, NotSymmetricError, Sam
 
 #: The feature path runs when n >= _FEATURE_ROWS_PER_COLUMN * p.  Curve
 #: time (least of ten medians of 9) and traced peak of each path on a
-#: 2-core Xeon:
+#: 2-core Xeon, the Gram path forming one panel at a time:
 #:
 #:     p    n      Gram ms  feature ms   Gram MB  feature MB
-#:     50   2p       0.4       0.8        0.32      0.20
-#:     50   3p       0.7       1.2        0.47      0.26
-#:     50   4p       1.6       1.3        0.73      0.26
-#:     50   5p       2.0       1.5        1.09      0.27
-#:     50   6p       1.9       1.9        1.30      0.27
-#:     50   8p       5.0       2.5        2.03      0.28
-#:     100  2p       1.0       2.6        0.73      0.55
-#:     100  3p       2.0       3.6        1.30      0.55
-#:     100  4p       5.0       4.9        2.03      0.56
-#:     100  5p       8.0       5.6        3.14      0.57
-#:     100  6p       8.5       7.9        4.20      0.58
-#:     100  8p      16.0       9.6        6.81      0.60
-#:     200  2p       4.5      11.6        2.03      1.38
-#:     200  3p       7.3      16.2        4.20      1.40
-#:     200  4p      16.3      21.6        6.81      1.41
-#:     200  5p      23.8      27.1       10.28      1.43
-#:     200  6p      36.6      33.0       14.16      1.45
-#:     200  8p      65.5      41.5       24.10      1.48
+#:     50   2p       0.7       1.1        0.14      0.19
+#:     50   3p       1.1       1.6        0.14      0.26
+#:     50   4p       1.4       1.1        0.22      0.26
+#:     50   5p       1.1       1.3        0.33      0.26
+#:     50   6p       1.6       2.4        0.33      0.27
+#:     50   8p       2.5       2.1        0.44      0.27
+#:     100  2p       1.0       2.6        0.22      0.54
+#:     100  3p       2.6       4.0        0.33      0.55
+#:     100  4p       3.9       5.4        0.44      0.55
+#:     100  5p       5.7       6.9        0.65      0.56
+#:     100  6p       6.2       6.0        0.75      0.56
+#:     100  8p      11.0       6.9        0.97      0.58
+#:     200  2p       4.0      11.2        0.76      1.37
+#:     200  3p       8.7      15.8        0.75      1.38
+#:     200  4p      12.0      17.2        0.97      1.39
+#:     200  5p      18.0      21.8        1.29      1.40
+#:     200  6p      24.4      27.3        1.49      1.42
+#:     200  8p      55.2      37.6        2.04      1.44
 #:
-#: The Gram path is faster up to 3p and the two are about even at 4p; the
-#: feature path is faster from 5p to 6p on and lighter from 2p on, so the
-#: switch stays at 4p.
+#: At p >= 100 the Gram path is faster up to 5p and the two are about
+#: even at 6p (at p = 50 they are within noise from 4p to 8p); it is
+#: lighter up to 4p, and at p = 200 up to 5p.  So both crossovers sit
+#: near 5p; the switch stays at 4p, just below both.
 _FEATURE_ROWS_PER_COLUMN = 4
 #: Columns per block of the Gram sweep, rows per block of the check of a
 #: caller's g.
@@ -186,9 +192,41 @@ def _feature_masks(width: int, dtype: np.dtype) -> np.ndarray:
     return masks
 
 
-@_small_buffers()
+def _panel_blocks(n: int, span: int) -> list[list[tuple[int, int]]]:
+    """The Gram sweep's column blocks as (lo, hi), grouped into panels of at most span columns.
+
+    The blocks have equal widths of at most _BLOCK columns, so that no
+    block is a thin tail.  A panel is a run of whole blocks, at least one.
+    """
+    n_blocks = -(-n // _BLOCK)
+    bounds = [n * k // n_blocks for k in range(n_blocks + 1)]
+    panels: list[list[tuple[int, int]]] = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if panels and hi - panels[-1][0][0] <= span:
+            panels[-1].append((lo, hi))
+        else:
+            panels.append([(lo, hi)])
+    return panels
+
+
 def _sweep_terms(g: np.ndarray) -> _SweepTerms:
-    """The thirteen sums from the Gram matrix, swept in blocks of columns.
+    """The thirteen sums from a whole Gram matrix, which the sweep consumes.
+
+    On return g holds no Gram entries.  A caller that reads g again hands
+    the sweep a copy.
+    """
+    n = len(g)
+    return _sweep(n, [(blocks, g) for blocks in _panel_blocks(n, n)], g.dtype)
+
+
+@_small_buffers()
+def _sweep(n: int, panels, dtype: np.dtype = np.dtype(np.float64)) -> _SweepTerms:
+    """The thirteen sums from column panels of the Gram matrix g, swept in blocks of columns.
+
+    ``panels`` yields (blocks, cols) in the order of :func:`_panel_blocks`:
+    cols holds the columns of g from the first block's lo to the last
+    block's hi, all n rows of them, and the sweep consumes it before it
+    draws the next panel.
 
     The two-index sums follow from the column sums of g and g^2 above and
     below the diagonal, each side accumulated from its own end, so that a
@@ -198,60 +236,63 @@ def _sweep_terms(g: np.ndarray) -> _SweepTerms:
     and S^2 over j <= t and over j > t.  One block of about _BLOCK columns
     at a time gives its edge sums from the raw columns, then becomes C in
     place, by one cumsum, and S = C[-1] - C in turn: O(n^2) time and O(n)
-    memory beside g.
-
-    g is consumed: on return it holds no Gram entries.  A caller that
-    reads g again hands the sweep a copy.
+    memory beside the panel.
     """
-    n = g.shape[0]
     # edge[side, power, t]: sums of g[i, t]^power over i < t (side 0) and
     # over i > t (side 1).  rows[side, half, t]: sums of C[t, j]^2 (side 0)
     # and S[t, j]^2 (side 1) over j <= t (half 0) and over j > t (half 1).
-    edge = np.empty((2, 2, n), dtype=g.dtype)
-    rows = np.zeros((2, 2, n), dtype=g.dtype)
-    # Equal widths of at most _BLOCK columns, so that no block is a thin tail.
+    edge = np.empty((2, 2, n), dtype=dtype)
+    rows = np.zeros((2, 2, n), dtype=dtype)
+    diagonal_squares = np.empty(n, dtype=dtype)
     n_blocks = -(-n // _BLOCK)
-    bounds = [n * k // n_blocks for k in range(n_blocks + 1)]
     width = -(-n // n_blocks)
-    masks = _block_masks(width, g.dtype)
-    out = np.empty((len(_SweepTerms._fields), n), dtype=g.dtype)
-    diagonal_squares = np.diagonal(g) ** 2
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        # Columns j = lo .. hi-1.  Rows above the block have only j > t, rows
-        # below it only j <= t; the square diagonal block takes the masks.
-        # The first block has no rows above it, the last none below it.
-        b = hi - lo
-        c = g[:, lo:hi]
-        block = c[lo:hi]
-        on_diagonal = np.einsum("ii->i", block)     # a writable view
-        # In the diagonal block, masks[1] also marks the rows i < j.
-        col = np.einsum("ij,ij,ij->j", block, block, masks[1, :b, :b], out=edge[0, 1, lo:hi])
-        if lo:
-            col += np.einsum("ij,ij->j", c[:lo], c[:lo])
-        np.einsum("ij,ij->j", c, c, out=edge[1, 1, lo:hi])     # whole columns
-        on_diagonal[...] = 0.0
-        np.cumsum(c, axis=0, out=c)                 # C
-        last = c[-1].copy()
-        # C and S at [t, t - lo] for the rows t of the block.
-        edge[0, 0, lo:hi] = on_diagonal
-        np.subtract(last, on_diagonal, out=edge[1, 0, lo:hi])
-        for half, part in ((1, slice(0, lo)), (0, slice(hi, n))):
-            other = c[part]
-            if len(other):
-                rows[0, half, part] += np.einsum("ij,ij->i", other, other)
-                np.subtract(last, other, out=other)     # S
-                rows[1, half, part] += np.einsum("ij,ij->i", other, other)
-        # The diagonal block needs C^2 and S^2 at once: its S^2 goes to rows
-        # already spent, the larger side outside the block or, with one
-        # block, the rows of out, not yet written; then its C^2 in place.
-        spare = max(c[:lo], c[hi:], key=len) if n_blocks > 1 else out
-        for r0 in range(0, b, len(spare)):
-            r1 = min(r0 + len(spare), b)
-            sq = np.subtract(last, block[r0:r1], out=spare[: r1 - r0])
-            np.square(sq, out=sq)
-            rows[1, :, lo + r0 : lo + r1] += np.einsum("ij,kij->ki", sq, masks[:, r0:r1, :b])
-        np.square(block, out=block)
-        rows[0, :, lo:hi] += np.einsum("ij,kij->ki", block, masks[:, :b, :b])
+    masks = _block_masks(width, dtype)
+    out = np.empty((len(_SweepTerms._fields), n), dtype=dtype)
+    for blocks, cols in panels:
+        for lo, hi in blocks:
+            # Columns j = lo .. hi-1.  Rows above the block have only j > t,
+            # rows below it only j <= t; the square diagonal block takes the
+            # masks.  The first block has no rows above it, the last none
+            # below it.
+            b = hi - lo
+            c = cols[:, lo - blocks[0][0] : hi - blocks[0][0]]
+            block = c[lo:hi]
+            on_diagonal = np.einsum("ii->i", block)     # a writable view
+            # In the diagonal block, masks[1] also marks the rows i < j.
+            col = np.einsum("ij,ij,ij->j", block, block, masks[1, :b, :b],
+                            out=edge[0, 1, lo:hi])
+            if lo:
+                col += np.einsum("ij,ij->j", c[:lo], c[:lo])
+            np.einsum("ij,ij->j", c, c, out=edge[1, 1, lo:hi])     # whole columns
+            np.square(on_diagonal, out=diagonal_squares[lo:hi])
+            on_diagonal[...] = 0.0
+            np.cumsum(c, axis=0, out=c)                 # C
+            last = c[-1].copy()
+            # C and S at [t, t - lo] for the rows t of the block.
+            edge[0, 0, lo:hi] = on_diagonal
+            np.subtract(last, on_diagonal, out=edge[1, 0, lo:hi])
+            for half, part in ((1, slice(0, lo)), (0, slice(hi, n))):
+                other = c[part]
+                if len(other):
+                    rows[0, half, part] += np.einsum("ij,ij->i", other, other)
+                    np.subtract(last, other, out=other)     # S
+                    rows[1, half, part] += np.einsum("ij,ij->i", other, other)
+            # The diagonal block needs C^2 and S^2 at once: its S^2 goes to
+            # rows already spent, the larger side outside the block or, with
+            # one block, a spare of a quarter of its rows, 32 KB at n = 128:
+            # four chunks, where the 13 rows of out would take ceil(n / 13),
+            # each a few numpy calls; then its C^2 in place.
+            if n_blocks > 1:
+                spare = max(c[:lo], c[hi:], key=len)
+            else:
+                spare = np.empty((-(-n // 4), n), dtype)
+            for r0 in range(0, b, len(spare)):
+                r1 = min(r0 + len(spare), b)
+                sq = np.subtract(last, block[r0:r1], out=spare[: r1 - r0])
+                np.square(sq, out=sq)
+                rows[1, :, lo + r0 : lo + r1] += np.einsum("ij,kij->ki", sq, masks[:, r0:r1, :b])
+            np.square(block, out=block)
+            rows[0, :, lo:hi] += np.einsum("ij,kij->ki", block, masks[:, :b, :b])
 
     # Below the diagonal by difference, column by column.
     edge[1, 1] -= edge[0, 1]
@@ -467,7 +508,7 @@ def _passes(x: np.ndarray, g: np.ndarray | None = None):
     if n >= _FEATURE_ROWS_PER_COLUMN * p:
         yield from _feature_passes(x, x.mean(axis=0))
     else:
-        yield 1, _sweep_terms(_centered_gram(x) if g is None else _caller_gram(g, p))
+        yield 1, _sweep(n, _centered_panels(x)) if g is None else _sweep_terms(_caller_gram(g, p))
 
 
 def _place(rows, first: int, sums) -> None:
@@ -573,39 +614,55 @@ def _curves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return curve, pairs
 
 
-def _centered_gram(x: np.ndarray) -> np.ndarray:
-    """The Gram matrix of the column-centered rows, exactly symmetric like ``gram``.
+def _centered_panels(x: np.ndarray):
+    """Column panels of the Gram matrix of the column-centered rows, for :func:`_sweep`.
 
-    With m the column means and a = x m, the raw Gram matrix g is centered
-    in place: (x_i - m) . (x_j - m) = g_ij - ((a_i + a_j) - |m|^2).  That
+    A panel holds the whole blocks of :func:`_panel_blocks` that fit in
+    max(p, one block) columns; it is formed in one buffer, which the next
+    panel overwrites, as the matrix product of the data and the panel's
+    rows.  Where p >= n or n <= _BLOCK the one panel is x @ x.T, a
+    symmetric syrk like ``gram``.
+
+    With m the column means and a = x m, each raw panel is centered in
+    place: (x_i - m) . (x_j - m) = g_ij - ((a_i + a_j) - |m|^2).  That
     form rounds like g, whose entries grow by 1 + |m|^2 / s^2 against the
     centered ones for s^2 the mean squared norm of the centered rows, so
     it is taken while |m| <= s: at most one bit lost, and no copy of the
-    data.  The shifts are formed _CENTER_ROWS rows at a time, so beside g
-    this holds O(n).  Data farther from the origin are centered in one
-    n x p copy.
+    data.  The shifts are formed _CENTER_ROWS rows at a time.  Data
+    farther from the origin are centered in one n x p copy.  The means
+    and a are formed here, at the call; the panels as they are drawn.
     """
-    n = x.shape[0]
+    n, p = x.shape
     m = x.mean(axis=0)
     mm = float(m @ m)
+    a = None
     # The mean squared row norm is s^2 + |m|^2.
     if n * mm > 0.5 * float(np.einsum("ij,ij->", x, x)):
         with _small_buffers():
-            xc = x - m
-        return xc @ xc.T
-    # Contiguous and aligned, so that x @ x.T is a symmetric syrk (see gram).
-    x = np.require(x, requirements=("C", "A"))
-    g = x @ x.T
-    a = x @ m
-    shift = np.empty((min(_CENTER_ROWS, n), n))
-    with _small_buffers():
-        for lo in range(0, n, _CENTER_ROWS):
-            hi = min(lo + _CENTER_ROWS, n)
-            # a_i + a_j == a_j + a_i bitwise, so g stays exactly symmetric.
-            rows = np.add(a[lo:hi, None], a, out=shift[: hi - lo])
-            rows -= mm
-            g[lo:hi] -= rows
-    return g
+            x = x - m
+    else:
+        # Contiguous and aligned, so that x @ x.T is a symmetric syrk (see gram).
+        x = np.require(x, requirements=("C", "A"))
+        a = x @ m
+    layout = _panel_blocks(n, p)
+    widest = max(blocks[-1][1] - blocks[0][0] for blocks in layout)
+    buf = np.empty(n * widest)
+    shift = np.empty((min(_CENTER_ROWS, n), widest))
+
+    def panels():
+        for blocks in layout:
+            lo, hi = blocks[0][0], blocks[-1][1]
+            g = np.matmul(x, x[lo:hi].T, out=buf[: n * (hi - lo)].reshape(n, hi - lo))
+            if a is not None:
+                for r0 in range(0, n, _CENTER_ROWS):
+                    r1 = min(r0 + _CENTER_ROWS, n)
+                    # a_i + a_j == a_j + a_i bitwise, so x @ x.T stays exactly symmetric.
+                    rows = np.add(a[r0:r1, None], a[lo:hi], out=shift[: r1 - r0, : hi - lo])
+                    rows -= mm
+                    g[r0:r1] -= rows
+            yield blocks, g
+
+    return panels()
 
 
 def _caller_gram(g, p: int) -> np.ndarray:
@@ -652,8 +709,8 @@ def cov_stat_curve(data, g: np.ndarray | None = None) -> CovStatResult:
         that is not symmetric up to rounding ``NotSymmetricError``.  It
         is taken on the raw data, so it yields the uncentered statistic:
         equal in exact arithmetic, but it loses digits to cancellation for
-        data far from the origin.  Without it the Gram matrix is built
-        from the centered columns.
+        data far from the origin.  Without it the Gram matrix of the
+        centered columns is formed one panel of columns at a time.
     """
     x = as_matrix(data)
     n = x.shape[0]

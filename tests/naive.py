@@ -119,6 +119,29 @@ def naive_cov_stat(data, tau: int) -> float:
     )
 
 
+def centered_gram(x: np.ndarray) -> np.ndarray:
+    """The whole Gram matrix of the column-centered rows, as one array.
+
+    With m the column means and a = x m, the raw Gram matrix g is
+    centered entry by entry: g_ij - ((a_i + a_j) - |m|^2), while |m| is
+    at most the rows' spread; data farther out are centered in a copy
+    first.  x @ x.T of a C-contiguous matrix is numpy's symmetric syrk.
+    """
+    x = np.require(as_matrix(x), requirements=("C", "A"))
+    n = x.shape[0]
+    m = x.mean(axis=0)
+    mm = float(m @ m)
+    if n * mm > 0.5 * float(np.einsum("ij,ij->", x, x)):
+        xc = x - m
+        return xc @ xc.T
+    g = x @ x.T
+    a = x @ m
+    shift = a[:, None] + a
+    shift -= mm
+    g -= shift
+    return g
+
+
 def naive_trace_sq(sigma) -> float:
     """Sum of squared entries of a symmetric matrix, i.e. tr(Sigma^2)."""
     s = np.asarray(sigma, dtype=np.float64)

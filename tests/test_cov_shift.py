@@ -22,7 +22,7 @@ from cpjoint.cov_shift import (
     _sweep_terms,
 )
 from conftest import random_orthogonal, rel_err
-from naive import naive_cov_stat
+from naive import centered_gram, naive_cov_stat
 
 
 def brute_force_terms(g, tau):
@@ -246,12 +246,37 @@ def test_caller_gram_gives_the_uncentered_statistic():
 def test_centered_gram_is_symmetric_and_centered(shape, offset, block, monkeypatch):
     monkeypatch.setattr(cov_shift, "_CENTER_ROWS", block)
     x = np.random.default_rng(307).standard_normal(shape) + offset
-    g = cov_shift._centered_gram(x)
+    # n <= 128: one block, so one panel holds the whole matrix.
+    g = np.hstack([cols.copy() for _, cols in cov_shift._centered_panels(x)])
     xl = x.astype(np.longdouble)
     xl -= xl.mean(axis=0)
     exact = xl @ xl.T
     assert np.array_equal(g, g.T)
     assert np.abs(g - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+# One panel covers g where p >= n or n <= 128 (one sweep block): it is
+# x @ x.T, so the curve is the whole matrix's bit for bit.  Several panels
+# are products of the data and each panel's rows, which round apart from
+# a syrk; the aggregate, and so z_cov, stays within 1e-12.
+@pytest.mark.parametrize(
+    "shape",
+    [(200, 200), (257, 300), (50, 300), (128, 100), (100, 60), (60, 30),
+     (200, 100), (300, 90), (257, 100), (129, 40), (1000, 500)],
+    ids=lambda shape: f"{shape[0]}x{shape[1]}",
+)
+@pytest.mark.parametrize("offset", [0.0, 50.0], ids=["near", "far"])
+def test_gram_panels_match_the_whole_centered_gram(shape, offset):
+    n, p = shape
+    x = np.random.default_rng(n + p).standard_normal(shape) + offset
+    got = cov_stat_curve(x)
+    want = _curve(_sweep_terms(centered_gram(x)), n)
+    if p >= n or n <= cov_shift._BLOCK:
+        assert np.array_equal(got.per_tau.values, want.per_tau.values)
+        assert got.aggregate == want.aggregate
+    else:
+        assert len(cov_shift._panel_blocks(n, p)) > 1
+        assert abs(got.aggregate - want.aggregate) <= 1e-12 * abs(want.aggregate)
 
 
 @given(

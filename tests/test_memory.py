@@ -150,6 +150,30 @@ def test_detect_at_1000x500_holds_the_data_and_the_gram_matrix(monkeypatch):
     assert warm_detect_peak(x, monkeypatch) < 1.1 * (x.nbytes + 8 * n * n)
 
 
+def test_detect_at_the_paper_setting_holds_one_gram_panel(monkeypatch):
+    # 200 x 100: beside the 0.16 MB copy, one 200 x 100 panel of the
+    # centered Gram matrix and O(n).  The whole 0.32 MB matrix took it to
+    # 3.42x.
+    x = np.random.default_rng(5).standard_normal((200, 100))
+    assert warm_detect_peak(x, monkeypatch) < 3.0 * x.nbytes
+
+
+def test_detect_at_1000x500_holds_the_data_and_one_panel(monkeypatch):
+    # Two 1000 x 500 panels, formed one at a time in one buffer: the copy
+    # (4 MB), one panel (4 MB) and O(n).  The whole Gram matrix (8 MB)
+    # took it to 1.54x.
+    x = np.random.default_rng(9).standard_normal((1000, 500))
+    n, p = x.shape
+    assert warm_detect_peak(x, monkeypatch) < 1.15 * (x.nbytes + 8 * n * min(n, p))
+
+
+def test_detect_at_2000x600_holds_no_n_by_n_array(monkeypatch):
+    # n = 2000 < 4p: panels of four 125-column blocks, 8 MB each, where
+    # the whole Gram matrix takes 32 MB and took the peak to 4.40x.
+    x = np.random.default_rng(11).standard_normal((2000, 600))
+    assert warm_detect_peak(x, monkeypatch) < 2.2 * x.nbytes
+
+
 def test_reuse_check_forms_no_n_by_p_temporary():
     # np.array_equal over the whole matrix forms an n x p bool array, an
     # eighth of x; the check compares blocks of about 64K entries.
