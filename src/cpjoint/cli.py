@@ -163,12 +163,14 @@ def _parse_grid(text: str, name: str) -> list[float]:
 
 def _resolve_parallelism(flag_value: int) -> int:
     env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise BadParamError(f"{THREADS_ENV_VAR}={env!r} is not an integer") from None
-    return max(1, flag_value)
+    source = f"--parallelism {flag_value}" if env is None else f"{THREADS_ENV_VAR}={env!r}"
+    try:
+        value = flag_value if env is None else int(env)
+    except ValueError:
+        raise BadParamError(f"{source} is not an integer") from None
+    if value < 1:
+        raise BadParamError(f"{source} must be at least 1")
+    return value
 
 
 def _cmd_detect(args) -> dict:
@@ -239,6 +241,9 @@ def _cmd_simulate(args) -> dict:
         if not 0.0 < args.tau_frac < 1.0:
             raise BadParamError(f"--tau-frac {args.tau_frac} outside (0, 1)")
         tau_star = int(args.tau_frac * args.n)
+        if args.n >= 1 and not 1 <= tau_star <= args.n - 1:
+            raise BadParamError(f"--tau-frac {args.tau_frac} at --n {args.n} puts the change "
+                                f"after row {tau_star}, outside [1, {args.n - 1}]")
 
     parallelism = _resolve_parallelism(args.parallelism)
     settings = [

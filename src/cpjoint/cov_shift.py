@@ -20,7 +20,7 @@ thirteen running index-tuple sums, which two paths compute:
   ``detect`` at n = 200, p = 100, whose data take 0.16 MB and g would
   take 0.32 MB.  Where p < n the panels cost up to twice the flops of
   one symmetric product;
-- the feature path (:func:`_feature_terms`, n >= 4p) writes every sum as
+- the feature path (:func:`_feature_passes`, n >= 4p) writes every sum as
   a polynomial in prefix moments s_t = sum x_i, A_t = sum x_i x_i',
   q_i = |x_i|^2 and u_t = sum q_i x_i, e.g. the sum of g_ij^2 over the
   prefix is |A_t|_F^2 - sum q_i^2.  O(n p^2) time.  It reads the data
@@ -43,13 +43,9 @@ the totals are then the scale of the curve at that split.
 Both paths compute the sums of the centered rows: the statistic is
 translation invariant, the sums are not, and on raw data far from the
 origin they cancel away the digits of the curve.  The feature path
-centers each block as it reads it.  A Gram matrix the caller passes in
-is checked and copied, then used as given.  Three of the sums, pre1,
-suf1 and cross1, are also the pair sums of the mean-shift curve, which
-the pipeline reads off this sweep.
-
-The sums are exposed for testing because the cancellation-heavy
-four-index identities deserve direct verification against brute force.
+centers each block as it reads it, the Gram path each panel.  Three of
+the sums, pre1, suf1 and cross1, are also the pair sums of the
+mean-shift curve, which the pipeline reads off this sweep.
 """
 
 from __future__ import annotations
@@ -62,39 +58,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import StatCurve, as_matrix
-from .errors import NonFiniteValueError, NotAMatrixError, NotSymmetricError, SampleTooSmallError
+from .errors import NotAMatrixError, SampleTooSmallError
 
-#: The feature path runs when n >= _FEATURE_ROWS_PER_COLUMN * p.  Curve
-#: time (least of ten medians of 9) and traced peak of each path on a
-#: 2-core Xeon, the Gram path forming one panel at a time:
-#:
-#:     p    n      Gram ms  feature ms   Gram MB  feature MB
-#:     50   2p       0.7       1.1        0.14      0.19
-#:     50   3p       1.1       1.6        0.14      0.26
-#:     50   4p       1.4       1.1        0.22      0.26
-#:     50   5p       1.1       1.3        0.33      0.26
-#:     50   6p       1.6       2.4        0.33      0.27
-#:     50   8p       2.5       2.1        0.44      0.27
-#:     100  2p       1.0       2.6        0.22      0.54
-#:     100  3p       2.6       4.0        0.33      0.55
-#:     100  4p       3.9       5.4        0.44      0.55
-#:     100  5p       5.7       6.9        0.65      0.56
-#:     100  6p       6.2       6.0        0.75      0.56
-#:     100  8p      11.0       6.9        0.97      0.58
-#:     200  2p       4.0      11.2        0.76      1.37
-#:     200  3p       8.7      15.8        0.75      1.38
-#:     200  4p      12.0      17.2        0.97      1.39
-#:     200  5p      18.0      21.8        1.29      1.40
-#:     200  6p      24.4      27.3        1.49      1.42
-#:     200  8p      55.2      37.6        2.04      1.44
-#:
-#: At p >= 100 the Gram path is faster up to 5p and the two are about
-#: even at 6p (at p = 50 they are within noise from 4p to 8p); it is
-#: lighter up to 4p, and at p = 200 up to 5p.  So both crossovers sit
-#: near 5p; the switch stays at 4p, just below both.
+#: The feature path runs when n >= _FEATURE_ROWS_PER_COLUMN * p: the two
+#: paths' time and traced peak cross near 5p (table in README.md).
 _FEATURE_ROWS_PER_COLUMN = 4
-#: Columns per block of the Gram sweep, rows per block of the check of a
-#: caller's g.
+#: Columns per block of the Gram sweep.
 _BLOCK = 128
 #: Rows per chunk of the Gram centering, whose shifts so take O(n) memory.
 _CENTER_ROWS = 16
@@ -175,19 +144,19 @@ def _tail_sums(v: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _block_masks(width: int, dtype: np.dtype) -> np.ndarray:
+def _block_masks(width: int) -> np.ndarray:
     """0/1 masks [j <= t, j > t] over a width x width diagonal block."""
-    low = np.tri(width, dtype=dtype)
+    low = np.tri(width)
     masks = np.stack((low, 1.0 - low))
     masks.setflags(write=False)
     return masks
 
 
 @functools.lru_cache(maxsize=8)
-def _feature_masks(width: int, dtype: np.dtype) -> np.ndarray:
+def _feature_masks(width: int) -> np.ndarray:
     """0/1 masks [i < t, i <= t, i <= t] at [t, i] over a width x width block."""
-    low = np.tri(width, dtype=dtype)
-    masks = np.stack((np.tri(width, k=-1, dtype=dtype), low, low))
+    low = np.tri(width)
+    masks = np.stack((np.tri(width, k=-1), low, low))
     masks.setflags(write=False)
     return masks
 
@@ -209,18 +178,8 @@ def _panel_blocks(n: int, span: int) -> list[list[tuple[int, int]]]:
     return panels
 
 
-def _sweep_terms(g: np.ndarray) -> _SweepTerms:
-    """The thirteen sums from a whole Gram matrix, which the sweep consumes.
-
-    On return g holds no Gram entries.  A caller that reads g again hands
-    the sweep a copy.
-    """
-    n = len(g)
-    return _sweep(n, [(blocks, g) for blocks in _panel_blocks(n, n)], g.dtype)
-
-
 @_small_buffers()
-def _sweep(n: int, panels, dtype: np.dtype = np.dtype(np.float64)) -> _SweepTerms:
+def _sweep(n: int, panels) -> _SweepTerms:
     """The thirteen sums from column panels of the Gram matrix g, swept in blocks of columns.
 
     ``panels`` yields (blocks, cols) in the order of :func:`_panel_blocks`:
@@ -241,13 +200,13 @@ def _sweep(n: int, panels, dtype: np.dtype = np.dtype(np.float64)) -> _SweepTerm
     # edge[side, power, t]: sums of g[i, t]^power over i < t (side 0) and
     # over i > t (side 1).  rows[side, half, t]: sums of C[t, j]^2 (side 0)
     # and S[t, j]^2 (side 1) over j <= t (half 0) and over j > t (half 1).
-    edge = np.empty((2, 2, n), dtype=dtype)
-    rows = np.zeros((2, 2, n), dtype=dtype)
-    diagonal_squares = np.empty(n, dtype=dtype)
+    edge = np.empty((2, 2, n))
+    rows = np.zeros((2, 2, n))
+    diagonal_squares = np.empty(n)
     n_blocks = -(-n // _BLOCK)
     width = -(-n // n_blocks)
-    masks = _block_masks(width, dtype)
-    out = np.empty((len(_SweepTerms._fields), n), dtype=dtype)
+    masks = _block_masks(width)
+    out = np.empty((len(_SweepTerms._fields), n))
     for blocks, cols in panels:
         for lo, hi in blocks:
             # Columns j = lo .. hi-1.  Rows above the block have only j > t,
@@ -285,7 +244,7 @@ def _sweep(n: int, panels, dtype: np.dtype = np.dtype(np.float64)) -> _SweepTerm
             if n_blocks > 1:
                 spare = max(c[:lo], c[hi:], key=len)
             else:
-                spare = np.empty((-(-n // 4), n), dtype)
+                spare = np.empty((-(-n // 4), n))
             for r0 in range(0, b, len(spare)):
                 r1 = min(r0 + len(spare), b)
                 sq = np.subtract(last, block[r0:r1], out=spare[: r1 - r0])
@@ -379,7 +338,7 @@ def _row_sums(x: np.ndarray, tot: _Totals) -> np.ndarray:
     """
     m, p = x.shape
     width = min(_FEATURE_BLOCK, m)
-    masks = _feature_masks(width, x.dtype)
+    masks = _feature_masks(width)
     buf = np.empty((3 * width, p))          # x_t, s_t and r_t of a block
     # Also holds x_b' x_b, which would otherwise be a p x p temporary.
     work = np.empty(max(3 * width * max(p + 1, width), p * p))
@@ -499,45 +458,10 @@ def _feature_passes(x: np.ndarray, center: np.ndarray | float):
     yield h + 1, _SweepTerms(*(f[::-1] for f in _side_sums(x[:h:-1], tot).mirrored()))
 
 
-def _passes(x: np.ndarray, g: np.ndarray | None = None):
-    """The sums on the path the shape picks, as :func:`_feature_passes` yields them.
-
-    From the centered data unless g is given.  The Gram path is one pass.
-    """
-    n, p = x.shape
-    if n >= _FEATURE_ROWS_PER_COLUMN * p:
-        yield from _feature_passes(x, x.mean(axis=0))
-    else:
-        yield 1, _sweep(n, _centered_panels(x)) if g is None else _sweep_terms(_caller_gram(g, p))
-
-
 def _place(rows, first: int, sums) -> None:
     """Copy a pass's sums into rows indexed by t = 0 .. n-1, the split after t + 1 rows."""
     for row, f in zip(rows, sums):
         row[first - 1 : first - 1 + len(f)] = f
-
-
-def _feature_terms(x: np.ndarray, center: np.ndarray | float = 0.0) -> _SweepTerms:
-    """The sums of :func:`_sweep_terms` from p x p moments, without the Gram matrix.
-
-    The sums are those of the rows x_i - center; the pipeline passes the
-    column means.  O(n p^2 + n b p) time for row blocks of b =
-    _FEATURE_BLOCK.  Each row is swept once, in one of the two passes of
-    :func:`_feature_passes`.  Each pass sums the shorter side directly and
-    takes the longer one as totals minus the shorter (see the module
-    docstring).  Accurate for centered rows; the sums themselves are not
-    translation invariant.
-
-    A first pass forms the totals, then each sweep reads the rows one
-    block at a time, so no n x p array is formed.  The statistics never
-    form this 13 x n result: :func:`_pass_curve` evaluates each pass as
-    it ends, and the pipeline keeps four rows of n.
-    """
-    terms = np.empty((len(_SweepTerms._fields), x.shape[0]))
-    for first, sums in _feature_passes(x, center):
-        _place(terms, first, sums)
-        del sums
-    return _SweepTerms(*terms)
 
 
 def _split_values(terms: _SweepTerms, first: int, n: int, out=None) -> np.ndarray:
@@ -581,12 +505,6 @@ def _cov_result(per_tau: np.ndarray, n: int) -> CovStatResult:
     return CovStatResult(StatCurve(4, n - 4, per_tau), aggregate)
 
 
-def _curve(terms: _SweepTerms, n: int) -> CovStatResult:
-    """Per-split values and aggregate from the index-tuple sums, which it leaves as they are."""
-    k = slice(3, n - 4)                     # a prefix of tau rows ends at row tau - 1
-    return _cov_result(_split_values(_SweepTerms(*(f[k].copy() for f in terms)), 4, n), n)
-
-
 def _pass_curve(first: int, terms: _SweepTerms, n: int, curve: np.ndarray) -> None:
     """Write the curve at the splits one pass serves into ``curve``, the splits 4 .. n-4.
 
@@ -600,14 +518,19 @@ def _pass_curve(first: int, terms: _SweepTerms, n: int, curve: np.ndarray) -> No
 def _curves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The curve at the splits 4 .. n-4, and the rows pre1, suf1 and cross1 at t = 0 .. n-1.
 
-    Those three sums are the mean curve's pair sums.  Each pass's curve
-    is formed as soon as the pass ends, so beside one pass this holds
-    four rows of n.
+    Those three sums are the mean curve's pair sums.  All are sums of the
+    centered rows, on the path the shape picks: the feature path's two
+    passes or the Gram path's one.  Each pass's curve is formed as soon
+    as the pass ends, so beside one pass this holds four rows of n.
     """
-    n = x.shape[0]
+    n, p = x.shape
     curve = np.empty(n - 7)
     pairs = np.empty((3, n))
-    for first, terms in _passes(x):
+    if n >= _FEATURE_ROWS_PER_COLUMN * p:
+        passes = _feature_passes(x, x.mean(axis=0))
+    else:
+        passes = [(1, _sweep(n, _centered_panels(x)))]
+    for first, terms in passes:
         _place(pairs, first, (terms.pre1, terms.suf1, terms.cross1))
         _pass_curve(first, terms, n, curve)
         del terms       # freed before the next pass is formed
@@ -665,33 +588,6 @@ def _centered_panels(x: np.ndarray):
     return panels()
 
 
-def _caller_gram(g, p: int) -> np.ndarray:
-    """A private float64 copy of a caller's n x n Gram matrix, checked before any sweep.
-
-    g must be finite, and symmetric up to rounding: |g_ij - g_ji| <=
-    p eps max_k |g_kk|, for p the number of columns of the data.  Each
-    entry is a p-term dot product, within about p eps / 2 |x_i| |x_j| of
-    its exact value (Higham 2002, sec. 3.1), so the two triangles of any
-    computed Gram matrix lie within that bound of each other: ``gram``'s
-    are equal, and a general matrix product's (gemm) round apart.
-    """
-    try:
-        g = as_matrix(g).copy()
-    except NonFiniteValueError:
-        raise NonFiniteValueError("g contains NaN or Inf") from None
-    n = len(g)
-    limit = p * np.finfo(np.float64).eps * np.abs(np.diagonal(g)).max()
-    for lo in range(0, n, _BLOCK):
-        gap = np.subtract(g[lo : lo + _BLOCK], g[:, lo : lo + _BLOCK].T)
-        worst = np.abs(gap, out=gap).max()
-        if worst > limit:
-            raise NotSymmetricError(
-                f"g is not symmetric: |g_ij - g_ji| reaches {worst:.3g}, "
-                f"above the {limit:.3g} that rounding allows"
-            )
-    return g
-
-
 def cov_stat_curve(data, g: np.ndarray | None = None) -> CovStatResult:
     """Covariance-shift statistic at every split, plus the weighted aggregate.
 
@@ -703,14 +599,9 @@ def cov_stat_curve(data, g: np.ndarray | None = None) -> CovStatResult:
     data : Dataset or (n, p) array-like
         Time-ordered observations, n >= 8.
     g : ndarray, optional
-        Precomputed ``gram(data)``, used only on the Gram path (n < 4p).
-        There it is copied, so the caller's g is left as it was, and the
-        copy is checked: NaN or Inf raise ``NonFiniteValueError``, a g
-        that is not symmetric up to rounding ``NotSymmetricError``.  It
-        is taken on the raw data, so it yields the uncentered statistic:
-        equal in exact arithmetic, but it loses digits to cancellation for
-        data far from the origin.  Without it the Gram matrix of the
-        centered columns is formed one panel of columns at a time.
+        Precomputed ``gram(data)``, kept for compatibility: only its shape
+        is checked, n x n.  Both paths sum the centered rows, as
+        ``detect`` does, so the result is the same with or without it.
     """
     x = as_matrix(data)
     n = x.shape[0]
@@ -720,8 +611,4 @@ def cov_stat_curve(data, g: np.ndarray | None = None) -> CovStatResult:
         raise NotAMatrixError(
             f"g must be the {n} x {n} Gram matrix of the data, got shape {np.shape(g)}"
         )
-    curve = np.empty(n - 7)
-    for first, terms in _passes(x, g):
-        _pass_curve(first, terms, n, curve)
-        del terms       # freed before the next pass is formed
-    return _cov_result(curve, n)
+    return _cov_result(_curves(x)[0], n)

@@ -7,6 +7,12 @@ pair of unblocked trace estimators: single-pass forms over all n - 1
 differences, which the row-blocked estimators must match bit for bit, and
 the CSV reader that builds one Python float per cell.
 
+``_sweep_terms``, ``_feature_terms`` and ``_curve`` are not oracles: they
+are thin wrappers that run the package's covariance kernels on a whole
+Gram matrix or return all thirteen sums at once, forms the package never
+needs but the tests check against brute force.  ``direct_sweep_terms``
+is their extended-precision reference.
+
 The p-value forms of the tails (``normal_sf``, ``fisher_combine`` and
 ``chi2_4_quantile``) are oracles for the log-space functions the package
 ships; the package itself never needs them.
@@ -19,7 +25,9 @@ import math
 
 import numpy as np
 
+from cpjoint import cov_shift
 from cpjoint.cli import CsvFormatError
+from cpjoint.cov_shift import CovStatResult, _SweepTerms
 from cpjoint.data import as_matrix
 from cpjoint.errors import (
     AlphaRangeError,
@@ -140,6 +148,79 @@ def centered_gram(x: np.ndarray) -> np.ndarray:
     shift -= mm
     g -= shift
     return g
+
+
+def _sweep_terms(g: np.ndarray) -> _SweepTerms:
+    """The thirteen sums from a whole float64 Gram matrix, by the package's blocked sweep.
+
+    The sweep consumes g: on return it holds no Gram entries.
+    """
+    n = len(g)
+    return cov_shift._sweep(n, [(blocks, g) for blocks in cov_shift._panel_blocks(n, n)])
+
+
+def _feature_terms(x: np.ndarray, center: np.ndarray | float = 0.0) -> _SweepTerms:
+    """The thirteen sums of the rows x_i - center at t = 0 .. n-1, by the package's feature passes.
+
+    One pass's sums are alive at a time, as in the package.
+    """
+    terms = np.empty((len(_SweepTerms._fields), x.shape[0]))
+    for first, sums in cov_shift._feature_passes(x, center):
+        cov_shift._place(terms, first, sums)
+        del sums
+    return _SweepTerms(*terms)
+
+
+def _curve(terms: _SweepTerms, n: int) -> CovStatResult:
+    """Per-split values and aggregate from the sums, which it leaves as they are.
+
+    The curve is formed in the sums' own dtype and rounded only at the end.
+    """
+    k = slice(3, n - 4)                     # a prefix of tau rows ends at row tau - 1
+    split = _SweepTerms(*(f[k].copy() for f in terms))
+    return cov_shift._cov_result(cov_shift._split_values(split, 4, n), n)
+
+
+def direct_sweep_terms(g: np.ndarray) -> _SweepTerms:
+    """The thirteen sums of :func:`_sweep_terms`, summed directly in g's own dtype.
+
+    An oracle for the float64 kernels when g is in extended precision
+    (``np.longdouble``).  With C[t, j] the sum of g_ij over i <= t and
+    S[t, j] the sum over i > t, both for i != j, a forward pass runs C on
+    row by row and a backward pass S, so no sum is a difference of longer
+    ones.  O(n^2) time, O(n) memory beside g.
+    """
+    n = len(g)
+    out = np.zeros((len(_SweepTerms._fields), n), dtype=g.dtype)
+    terms = _SweepTerms(*out)
+    run = np.zeros(n, dtype=g.dtype)        # C[t] forward, then S[t] backward
+    run2 = np.zeros(n, dtype=g.dtype)       # the same sums of g_ij^2
+
+    def add_row(t):
+        row = g[t].copy()
+        row[t] = 0.0
+        np.add(run, row, out=run)
+        np.add(run2, row * row, out=run2)
+
+    for t in range(n):
+        add_row(t)
+        pre, suf = run[: t + 1], run[t + 1 :]
+        terms.pre1[t], terms.pre2[t] = pre.sum(), run2[: t + 1].sum()
+        terms.pre3[t] = (pre * pre).sum() - terms.pre2[t]
+        terms.cross1[t], terms.cross2[t] = suf.sum(), run2[t + 1 :].sum()
+        terms.cross3_mid_suf[t] = (suf * suf).sum() - terms.cross2[t]
+    run[:] = run2[:] = 0.0
+    for t in range(n - 1, -1, -1):
+        pre, suf = run[: t + 1], run[t + 1 :]
+        terms.suf1[t], terms.suf2[t] = suf.sum(), run2[t + 1 :].sum()
+        terms.suf3[t] = (suf * suf).sum() - terms.suf2[t]
+        terms.cross3_mid_pre[t] = (pre * pre).sum() - terms.cross2[t]
+        add_row(t)
+    # Four distinct indices: the square of the two-index sum less every coincidence.
+    terms.pre4[:] = terms.pre1 ** 2 - 2.0 * terms.pre2 - 4.0 * terms.pre3
+    terms.suf4[:] = terms.suf1 ** 2 - 2.0 * terms.suf2 - 4.0 * terms.suf3
+    terms.cross4[:] = terms.cross1 ** 2 - terms.cross3_mid_suf - terms.cross3_mid_pre - terms.cross2
+    return terms
 
 
 def naive_trace_sq(sigma) -> float:

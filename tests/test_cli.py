@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpjoint import baselines, detect
-from cpjoint.cli import CsvFormatError, main, read_matrix_csv
+from cpjoint import BadParamError, baselines, detect
+from cpjoint.cli import CsvFormatError, build_parser, main, read_matrix_csv
 
 from naive import naive_read_matrix_csv
 
@@ -349,6 +349,31 @@ class TestSimulateCommand:
               "--parallelism", "1", "--seed", "9"])
         report = json.loads(capsys.readouterr().out)
         assert report["config"]["parallelism"] == 2
+
+    @staticmethod
+    def fails_naming(argv, message, capsys):
+        """simulate raises BadParamError with ``message``, and main exits 1 printing it."""
+        args = build_parser().parse_args(argv)
+        with pytest.raises(BadParamError, match=re.escape(message)):
+            args.handler(args)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_parallelism_named(self, capsys, value):
+        argv = ["simulate", "--n", "30", "--p", "4", "--reps", "2", "--parallelism", value]
+        self.fails_naming(argv, f"--parallelism {value} must be at least 1", capsys)
+
+    def test_nonpositive_threads_env_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("CPJOINT_THREADS", "0")
+        argv = ["simulate", "--n", "30", "--p", "4", "--reps", "2"]
+        self.fails_naming(argv, "CPJOINT_THREADS='0' must be at least 1", capsys)
+
+    def test_tau_frac_that_rounds_out_of_range_named(self, capsys):
+        argv = ["simulate", "--n", "30", "--p", "4", "--reps", "2", "--tau-frac", "0.01"]
+        message = "--tau-frac 0.01 at --n 30 puts the change after row 0, outside [1, 29]"
+        self.fails_naming(argv, message, capsys)
 
     def test_reports_reproducible(self, capsys):
         argv = ["simulate", "--n", "30", "--p", "4", "--reps", "3", "--seed", "11"]

@@ -10,7 +10,6 @@ from cpjoint import (
     ErrorDist,
     SimulationModel,
     cli,
-    cov_shift,
     detect,
     gen_dataset,
     gram,
@@ -20,6 +19,7 @@ from cpjoint import (
     trace_sigma3_hat,
 )
 from cpjoint.cli import read_matrix_csv
+from naive import _feature_terms, _sweep_terms
 
 # 64 x 20000 doubles, 10.24 MB: a quarter of it is well above the stages'
 # O(n b) buffers, and an n x p temporary is far above a quarter.
@@ -81,7 +81,7 @@ def test_feature_terms_form_no_n_by_p_temporary():
     # n >= 4p: the feature path.  Its thirteen O(n) sums are 0.13 x.nbytes
     # here; a centered copy or any n x p array would be 1x.
     x = np.random.default_rng(4).standard_normal((8000, 100))
-    assert traced_peak(cov_shift._feature_terms, x, x.mean(axis=0)) < 0.5 * x.nbytes
+    assert traced_peak(_feature_terms, x, x.mean(axis=0)) < 0.5 * x.nbytes
 
 
 def test_detect_far_from_the_origin_holds_two_copies(monkeypatch):
@@ -121,8 +121,8 @@ def test_gram_sweep_holds_one_block_buffer():
     # n = 400: one C/S buffer of 2 x n x 100 is half of g; a second one
     # alive at the next block takes the peak to about g.nbytes.
     g = gram(np.random.default_rng(7).standard_normal((400, 500)))
-    cov_shift._sweep_terms(g.copy())
-    assert traced_peak(cov_shift._sweep_terms, g) < 0.7 * g.nbytes
+    _sweep_terms(g.copy())
+    assert traced_peak(_sweep_terms, g) < 0.7 * g.nbytes
 
 
 def test_detect_at_the_paper_setting_sweeps_the_gram_matrix_in_place(monkeypatch):
@@ -137,8 +137,8 @@ def test_gram_sweep_holds_no_block_buffer():
     # n = 400: the sweep forms C and S in g's own columns; one 2 x n x 100
     # buffer would be half of g, one n x 100 block a quarter.
     g = gram(np.random.default_rng(7).standard_normal((400, 500)))
-    cov_shift._sweep_terms(g.copy())
-    assert traced_peak(cov_shift._sweep_terms, g) < 0.3 * g.nbytes
+    _sweep_terms(g.copy())
+    assert traced_peak(_sweep_terms, g) < 0.3 * g.nbytes
 
 
 def test_detect_at_1000x500_holds_the_data_and_the_gram_matrix(monkeypatch):
