@@ -24,11 +24,13 @@ thirteen running index-tuple sums, which two paths compute:
   a polynomial in prefix moments s_t = sum x_i, A_t = sum x_i x_i',
   q_i = |x_i|^2 and u_t = sum q_i x_i, e.g. the sum of g_ij^2 over the
   prefix is |A_t|_F^2 - sum q_i^2.  O(n p^2) time.  It reads the data
-  one block of rows at a time in two passes, and :func:`_pass_curve`
-  evaluates the curve on each pass's splits as soon as the pass ends.
-  So beside the data it holds four rows of n, one pass's thirteen sums
-  of n / 2 and O(b p + b^2 + p^2) per block: a traced peak of 0.42 MB
-  at n = 2000, p = 50, whose data take 0.8 MB.
+  one block of rows at a time in two passes, and each pass yields its
+  sums one chunk of 256 rows (or about 1/16 of the pass) at a time, the
+  running sums carried from chunk to chunk; :func:`_curves` writes both
+  curves on a chunk's splits as soon as the chunk ends.  So beside the
+  data it holds the two curves, one chunk's sums and O(b p + b^2 + p^2)
+  per block: a traced peak of 0.32 MB at n = 2000, p = 50, whose data
+  take 0.8 MB, and 2.3 MB at n = 10^5, p = 20 (16 MB of data).
 
 Each split has a shorter and a longer side.  Both paths sum the shorter
 side directly: as the totals minus the longer side it would be a small
@@ -45,7 +47,8 @@ translation invariant, the sums are not, and on raw data far from the
 origin they cancel away the digits of the curve.  The feature path
 centers each block as it reads it, the Gram path each panel.  Three of
 the sums, pre1, suf1 and cross1, are also the pair sums of the
-mean-shift curve, which the pipeline reads off this sweep.
+mean-shift curve, which :func:`_curves` forms beside the covariance
+curve, so that the pipeline reads both off this sweep.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ import numpy as np
 
 from .data import StatCurve, as_matrix
 from .errors import NotAMatrixError, SampleTooSmallError
+from .mean_shift import _mean_values, _side_sizes
 
 #: The feature path runs when n >= _FEATURE_ROWS_PER_COLUMN * p: the two
 #: paths' time and traced peak cross near 5p (table in README.md).
@@ -78,6 +82,12 @@ _BUFFER_SIZE = 256
 #: traced peak is 0.31 MB with 32 rows, 0.42 MB with 64 and 0.81 MB with
 #: 128, and 32 to 128 rows take 8-14 ms, 32 the slowest.
 _FEATURE_BLOCK = 64
+#: Rows per chunk of a feature pass, at least.  A chunk's sums take 16 rows
+#: of its length, 33 KB with 256 rows, and each chunk costs about 70 numpy
+#: calls, about 0.1 ms on a 2-core Xeon.
+_CHUNK_ROWS = 256
+#: Longer passes are cut into about this many chunks.
+_CHUNKS_PER_PASS = 16
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,8 @@ class _SweepTerms(NamedTuple):
     the prefix and j in the suffix; cross3_mid_suf: three-index sums whose
     shared index j sits in the suffix (i, k distinct in the prefix);
     cross3_mid_pre: the mirror image; cross4: i != k in the prefix, j != l
-    in the suffix.
+    in the suffix.  The kernels keep the sums as rows of one array, and a
+    _SweepTerms of row numbers names them there.
     """
 
     pre1: np.ndarray
@@ -119,6 +130,10 @@ class _SweepTerms(NamedTuple):
         """The same sums for the reversed row order: prefix and suffix trade places."""
         return _SweepTerms(*self[4:8], *self[:4], self.cross1, self.cross2,
                            self.cross3_mid_pre, self.cross3_mid_suf, self.cross4)
+
+
+#: The sums' rows in an array that holds them in the order of _SweepTerms.
+_FIELDS = _SweepTerms(*range(len(_SweepTerms._fields)))
 
 
 @contextlib.contextmanager
@@ -179,8 +194,11 @@ def _panel_blocks(n: int, span: int) -> list[list[tuple[int, int]]]:
 
 
 @_small_buffers()
-def _sweep(n: int, panels) -> _SweepTerms:
+def _sweep(n: int, panels) -> np.ndarray:
     """The thirteen sums from column panels of the Gram matrix g, swept in blocks of columns.
+
+    Returns them as the rows of one 13 x n array, in the order of
+    :class:`_SweepTerms`.
 
     ``panels`` yields (blocks, cols) in the order of :func:`_panel_blocks`:
     cols holds the columns of g from the first block's lo to the last
@@ -274,7 +292,8 @@ def _sweep(n: int, panels) -> _SweepTerms:
     np.subtract(s_up, t.suf2, out=t.suf3)
     np.subtract(c_up, t.cross2, out=t.cross3_mid_suf)
     np.subtract(s_low, t.cross2, out=t.cross3_mid_pre)
-    return _complete(t)
+    _complete(t)
+    return out
 
 
 def _complete(t: _SweepTerms) -> _SweepTerms:
@@ -325,16 +344,37 @@ def _totals(x: np.ndarray, center: np.ndarray | float) -> _Totals:
                    zz[p, p], np.einsum("ij,ij->", a, a))
 
 
-def _row_sums(x: np.ndarray, tot: _Totals) -> np.ndarray:
-    """The row-wise sums :func:`_side_sums` reads, at entries k = 1 .. m.
+def _chunk_rows(m: int) -> int:
+    """Rows per chunk of a feature pass over m rows: whole blocks, _CHUNK_ROWS or about m / 16.
+
+    Read at the call, so that it follows _FEATURE_BLOCK.  Any multiple of
+    _FEATURE_BLOCK, or m itself, gives the same bits.
+    """
+    blocks = max(1, _CHUNK_ROWS // _FEATURE_BLOCK, -(-m // (_CHUNKS_PER_PASS * _FEATURE_BLOCK)))
+    return blocks * _FEATURE_BLOCK
+
+
+# The rows of a chunk of :func:`_row_sums`, x_t's, s_t's and r_t's sums four
+# rows apart, and of the sums :func:`_side_sums` makes of them in place.
+(_Q, _X_TOT, _X_QUAD, _QQ, _SS, _S_TOT, _S_QUAD, _SR,
+ _RR, _R_TOT, _REST_QUAD, _R_U, _U_S, _U_R, _SUF_FROB, _SUF_Q2) = range(16)
+_SIDE_ROWS = _SweepTerms(_SS, _X_QUAD, _S_QUAD, _Q, _RR, _SUF_FROB, _R_TOT, _U_S,
+                         _SR, _X_TOT, _S_TOT, _REST_QUAD, _U_R)
+
+
+def _row_sums(x: np.ndarray, tot: _Totals):
+    """The row-wise sums :func:`_side_sums` reads, one chunk of rows at a time.
 
     Row t = k - 1 of x, less ``tot.center``, gives entry k of: q_t, s.s,
     r.r, s.r; v' A_n v for v = x_t, s_t, r_t; r . u_n; v' A_t v (A_{t-1}
     for x_t); u_t . s_t and u_t . r_t.  Entry 0, the empty prefix, is 0.
-    Each block of b = _FEATURE_BLOCK rows forms its x_t, s_t and r_t,
-    reads the sums off them and drops them: O(b p + b^2 + p^2) working
-    memory beside the result, freed before :func:`_side_sums` makes its
-    O(m) temporaries.
+    Yields (k, acc) per chunk of :func:`_chunk_rows` rows, with column j
+    of acc at entry k + j for the entries of the chunk's rows; the first
+    chunk leads with entry 0.  acc has the 16 rows named above, three
+    spare, and the next chunk overwrites it.  A_t, u_t and s_t run on from
+    chunk to chunk, and each block of b = _FEATURE_BLOCK rows forms its
+    x_t, s_t and r_t, reads the sums off them and drops them: O(b p + b^2
+    + p^2) working memory beside one chunk's sums.
     """
     m, p = x.shape
     width = min(_FEATURE_BLOCK, m)
@@ -345,155 +385,171 @@ def _row_sums(x: np.ndarray, tot: _Totals) -> np.ndarray:
     a = np.zeros((p, p))                    # A_t and u_t at the start of the block
     u = np.zeros(p)
     s_end = np.zeros(p)                     # s_t at the end of the last block
-    acc = np.zeros((13, m + 1))
-    for lo in range(0, m, _FEATURE_BLOCK):
-        hi = min(lo + _FEATURE_BLOCK, m)
-        b = hi - lo
-        out = slice(lo + 1, hi + 1)         # the prefixes that end in the block
-        flat = buf[: 3 * b]
-        v = flat.reshape(3, b, p)
-        xb, sb, rb = v
-        # Copied, then centered: subtracting a reversed block straight into
-        # xb would buffer both operands.
-        xb[...] = x[lo:hi]
-        xb -= tot.center
-        # Run on from the last block: the adds of one cumsum over all rows.
-        sb[...] = xb
-        sb[0] += s_end
-        np.cumsum(sb, axis=0, out=sb)
-        np.subtract(tot.s, sb, out=rb)
-        np.einsum("kti,kti->kt", v, v, out=acc[:3, out])
-        np.einsum("ti,ti->t", sb, rb, out=acc[3, out])
-        prod = np.matmul(flat, tot.au, out=work[: 3 * b * (p + 1)].reshape(3 * b, p + 1))
-        acc[4:7, out] = np.einsum("ki,ki->k", prod[:, :p], flat).reshape(3, b)
-        acc[7, out] = prod[2 * b :, p]
-        # v' A_t v and v . u_t with A_t and u_t at the start of the block; the
-        # block's rows j < t (for x_t) or j <= t (for s_t and r_t) add
-        # (v . x_j)^2 and q_j v . x_j.
-        prod = np.matmul(flat, a, out=work[: 3 * b * p].reshape(3 * b, p))
-        acc[8:11, out] = np.einsum("ki,ki->k", prod, flat).reshape(3, b)
-        acc[11:, out] = (flat[b:] @ u).reshape(2, b)
-        vx = np.matmul(flat, xb.T, out=work[: 3 * b * b].reshape(3 * b, b)).reshape(3, b, b)
-        qb = acc[0, out]
-        acc[11:, out] += np.einsum("kti,ti,i->kt", vx[1:], masks[1, :b, :b], qb)
-        acc[8:11, out] += np.einsum("kti,kti,kti->kt", vx, vx, masks[:, :b, :b])
-        a += np.matmul(xb.T, xb, out=work[: p * p].reshape(p, p))
-        u += qb @ xb
-        s_end[...] = sb[-1]
-    return acc
+    rows = min(_chunk_rows(m), m)
+    chunk = np.zeros((16, rows + 1))
+    for c0 in range(0, m, rows):
+        c1 = min(c0 + rows, m)
+        k = c0 + 1 if c0 else 0
+        acc = chunk[:, : c1 + 1 - k]
+        for lo in range(c0, c1, _FEATURE_BLOCK):
+            hi = min(lo + _FEATURE_BLOCK, c1)
+            b = hi - lo
+            out = slice(lo + 1 - k, hi + 1 - k)     # the prefixes that end in the block
+            flat = buf[: 3 * b]
+            v = flat.reshape(3, b, p)
+            xb, sb, rb = v
+            # Copied, then centered: subtracting a reversed block straight into
+            # xb would buffer both operands.
+            xb[...] = x[lo:hi]
+            xb -= tot.center
+            # Run on from the last block: the adds of one cumsum over all rows.
+            sb[...] = xb
+            sb[0] += s_end
+            np.cumsum(sb, axis=0, out=sb)
+            np.subtract(tot.s, sb, out=rb)
+            np.einsum("kti,kti->kt", v, v, out=acc[_Q:_R_U:4, out])
+            np.einsum("ti,ti->t", sb, rb, out=acc[_SR, out])
+            prod = np.matmul(flat, tot.au, out=work[: 3 * b * (p + 1)].reshape(3 * b, p + 1))
+            np.einsum("kti,kti->kt", prod[:, :p].reshape(3, b, p), v, out=acc[_X_TOT:_R_U:4, out])
+            acc[_R_U, out] = prod[2 * b :, p]
+            # v' A_t v and v . u_t with A_t and u_t at the start of the block; the
+            # block's rows j < t (for x_t) or j <= t (for s_t and r_t) add
+            # (v . x_j)^2 and q_j v . x_j.
+            prod = np.matmul(flat, a, out=work[: 3 * b * p].reshape(3 * b, p))
+            quad = acc[_X_QUAD:_R_U:4, out]
+            np.einsum("kti,kti->kt", prod.reshape(3, b, p), v, out=quad)
+            acc[_U_S : _U_R + 1, out] = (flat[b:] @ u).reshape(2, b)
+            vx = np.matmul(flat, xb.T, out=work[: 3 * b * b].reshape(3 * b, b)).reshape(3, b, b)
+            qb = acc[_Q, out]
+            acc[_U_S : _U_R + 1, out] += np.einsum("kti,ti,i->kt", vx[1:], masks[1, :b, :b], qb)
+            quad += np.einsum("kti,kti,kti->kt", vx, vx, masks[:, :b, :b])
+            a += np.matmul(xb.T, xb, out=work[: p * p].reshape(p, p))
+            u += qb @ xb
+            s_end[...] = sb[-1]
+        yield k, acc
 
 
-def _side_sums(x: np.ndarray, tot: _Totals) -> _SweepTerms:
-    """The thirteen sums for the splits after each of the first k rows of x, k = 0 .. m.
+def _side_sums(x: np.ndarray, tot: _Totals):
+    """The thirteen sums for the splits after each of the first k rows of x, one chunk at a time.
 
     Entry k puts rows 0 .. t = k-1 of x in the prefix and every other row
     of the data in the suffix; the rows are taken less ``tot.center``.  The
     prefix sums are polynomials in its moments s_t, A_t, u_t and
     ||A_t||_F^2, e.g. pre2 = ||A_t||_F^2 - sum q_i^2; the suffix sums are
     the totals minus the prefix's, with r_t = s_n - s_t for the suffix's
-    row sum.  The formulas run in place in the rows :func:`_row_sums`
-    returns, with three more rows and one temporary at a time.
+    row sum.  Yields (k, acc) for each chunk of :func:`_row_sums`, whose
+    rows the formulas overwrite in place: _SIDE_ROWS names the sums' rows.
     """
-    acc = _row_sums(x, tot)
-    q, ss, rr, sr, x_tot, s_tot, r_tot, r_u, x_quad, s_quad, rest_quad, u_s, u_r = acc
-    qq, suf_frob, suf_q2 = np.empty((3, acc.shape[1]))
-    np.square(q, out=qq)
-    q1 = np.cumsum(q, out=q)
-    # ||A_t||^2 - ||A_{t-1}||^2 = 2 x_t' A_{t-1} x_t + q_t^2: nonnegative steps.
-    x_quad *= 2.0
-    x_quad += qq
-    frob = np.cumsum(x_quad, out=x_quad)
-    q2 = np.cumsum(qq, out=qq)
-    cross2 = np.cumsum(x_tot, out=x_tot)
-    cross2 -= frob
-    # The suffix's ||B_t||_F^2: all pairs, minus the prefix's and the crossing ones.
-    np.subtract(tot.frob, frob, out=suf_frob)
-    suf_frob -= 2.0 * cross2
-    np.subtract(tot.q2, q2, out=suf_q2)
-    # Each row below becomes the sum it is renamed to; a row is overwritten
-    # only after its last read.
-    pre1 = ss
-    pre1 -= q1
-    suf1 = rr
-    suf1 -= np.subtract(tot.q1, q1, out=q1)
-    cross3_mid_suf = s_tot
-    cross3_mid_suf -= s_quad
-    cross3_mid_suf -= cross2
-    pre3 = s_quad
-    pre3 -= 2.0 * u_s
-    pre3 -= frob
-    pre3 += 2.0 * q2
-    pre2 = frob
-    pre2 -= q2
-    suf3 = r_tot
-    suf3 -= rest_quad
-    r_u -= u_r
-    suf3 -= 2.0 * r_u
-    suf3 -= suf_frob
-    suf3 += 2.0 * suf_q2
-    cross3_mid_pre = rest_quad
-    cross3_mid_pre -= cross2
-    suf2 = suf_frob
-    suf2 -= suf_q2
-    # The rows of q, u_s and u_r, read for the last time above, take the
-    # four-index sums.
-    return _complete(_SweepTerms(pre1, pre2, pre3, q, suf1, suf2, suf3, u_s,
-                                 sr, cross2, cross3_mid_suf, cross3_mid_pre, u_r))
+    # The running sums at the entry before the chunk: sum q, sum x_t' A_n x_t,
+    # ||A_t||^2 and sum q^2.
+    carry = np.zeros(4)
+    for k, acc in _row_sums(x, tot):
+        (q, x_tot, x_quad, qq, ss, s_tot, s_quad, sr, rr, r_tot, rest_quad, r_u, u_s, u_r,
+         suf_frob, suf_q2) = acc
+        np.square(q, out=qq)
+        # ||A_t||^2 - ||A_{t-1}||^2 = 2 x_t' A_{t-1} x_t + q_t^2: nonnegative steps.
+        x_quad *= 2.0
+        x_quad += qq
+        # Each running sum goes on from the last chunk's: adding its last
+        # entry to this chunk's first makes the adds of one cumsum.
+        run = acc[_Q : _QQ + 1]
+        run[:, 0] += carry
+        np.cumsum(run, axis=1, out=run)
+        carry[...] = run[:, -1]
+        q1, cross2, frob, q2 = run
+        cross2 -= frob
+        # The suffix's ||B_t||_F^2: all pairs, minus the prefix's and the crossing ones.
+        np.subtract(tot.frob, frob, out=suf_frob)
+        suf_frob -= 2.0 * cross2
+        np.subtract(tot.q2, q2, out=suf_q2)
+        # Each row below becomes the sum _SIDE_ROWS names it by; a row is
+        # overwritten only after its last read.
+        pre1 = ss
+        pre1 -= q1
+        suf1 = rr
+        suf1 -= np.subtract(tot.q1, q1, out=q1)
+        cross3_mid_suf = s_tot
+        cross3_mid_suf -= s_quad
+        cross3_mid_suf -= cross2
+        pre3 = s_quad
+        pre3 -= 2.0 * u_s
+        pre3 -= frob
+        pre3 += 2.0 * q2
+        pre2 = frob
+        pre2 -= q2
+        suf3 = r_tot
+        suf3 -= rest_quad
+        r_u -= u_r
+        suf3 -= 2.0 * r_u
+        suf3 -= suf_frob
+        suf3 += 2.0 * suf_q2
+        cross3_mid_pre = rest_quad
+        cross3_mid_pre -= cross2
+        suf2 = suf_frob
+        suf2 -= suf_q2
+        # The rows of q, u_s and u_r, read for the last time above, take the
+        # four-index sums.
+        _complete(_SweepTerms(pre1, pre2, pre3, q, suf1, suf2, suf3, u_s,
+                              sr, cross2, cross3_mid_suf, cross3_mid_pre, u_r))
+        yield k, acc
 
 
 def _feature_passes(x: np.ndarray, center: np.ndarray | float):
-    """The two sweeps of the feature path, formed one at a time, as (first, terms).
+    """The thirteen sums of the feature path's two passes, one chunk at a time.
 
-    Entry i of each of the thirteen sums is the split after first + i
-    rows.  The forward pass over rows 0 .. h-1, h = n // 2, serves the
-    splits after 1 .. h rows, whose prefix is the shorter side, and a
-    pass over the reversed rows n-1 .. h+1 the splits after h+1 .. n
-    rows, whose suffix is.  A consumer drops a pass before it asks for
-    the next, so that only one pass's sums are alive.
+    Yields (first, step, base, rows): column j of base is the split after
+    first + step * j rows, and ``rows`` names the row of base that holds
+    each sum.  The forward pass over rows 0 .. h-1, h = n // 2, serves the
+    splits after 1 .. h rows, whose prefix is the shorter side, and a pass
+    over the reversed rows n-1 .. h+1 the splits after n .. h+1 rows,
+    whose suffix is, so that there step = -1.  The next chunk overwrites
+    base, so a consumer is done with it before it asks for the next, and
+    drops it before the second pass.
     """
     n = x.shape[0]
     h = n // 2
     tot = _totals(x, center)
-    yield 1, _SweepTerms(*(f[1:] for f in _side_sums(x[:h], tot)))
-    yield h + 1, _SweepTerms(*(f[::-1] for f in _side_sums(x[:h:-1], tot).mirrored()))
+    for k, acc in _side_sums(x[:h], tot):
+        skip = int(k == 0)      # entry 0, the split after no rows, is none
+        yield k + skip, 1, acc[:, skip:], _SIDE_ROWS
+    del acc     # freed before the second pass's chunk is formed
+    mirror = _SIDE_ROWS.mirrored()      # prefix and suffix trade places
+    for k, acc in _side_sums(x[:h:-1], tot):
+        yield n - k, -1, acc, mirror
 
 
-def _place(rows, first: int, sums) -> None:
-    """Copy a pass's sums into rows indexed by t = 0 .. n-1, the split after t + 1 rows."""
-    for row, f in zip(rows, sums):
-        row[first - 1 : first - 1 + len(f)] = f
+def _split_values(base: np.ndarray, rows: _SweepTerms, m: np.ndarray) -> np.ndarray:
+    """The curve at a range of splits, from the sums there and the sizes of the two sides.
 
-
-def _split_values(terms: _SweepTerms, first: int, n: int, out=None) -> np.ndarray:
-    """The curve at the splits after first, first + 1, ... rows, from the sums there.
-
-    Runs in place: it overwrites every sum but pre1, suf1 and cross1, and
-    holds about six more rows of their length.
+    Column j of base and of m = [m1, m2] (:func:`_side_sizes`) is one
+    split, and ``rows`` names the row of base that holds each sum.  Runs
+    in place: it overwrites every sum but pre1, suf1 and cross1, and holds
+    about six more rows of their length.
     """
-    m1 = np.arange(first, first + len(terms.pre1), dtype=np.float64)
-    m2 = n - m1
+    t = _SweepTerms(*(base[i] for i in rows))
+    m1, m2 = m
     perm2_pre = m1 * (m1 - 1.0)
     perm2_suf = m2 * (m2 - 1.0)
-    for (s2, s3, s4), m, perm2 in (
-        (terms[1:4], m1, perm2_pre),
-        (terms[5:8], m2, perm2_suf),
+    for (s2, s3, s4), mm, perm2 in (
+        (t[1:4], m1, perm2_pre),
+        (t[5:8], m2, perm2_suf),
     ):
         # s2 / perm2 - 2 s3 / perm3 + s4 / perm4, into s2.
         s2 /= perm2
-        perm = perm2 * (m - 2.0)
+        perm = perm2 * (mm - 2.0)
         s3 *= 2.0
         s3 /= perm
         s2 -= s3
-        perm *= m - 3.0
+        perm *= mm - 3.0
         s4 /= perm
         s2 += s4
-    across = terms.cross2
+    across = t.cross2
     across /= m1 * m2
-    across -= np.divide(terms.cross3_mid_suf, perm2_pre * m2, out=terms.cross3_mid_suf)
-    across -= np.divide(terms.cross3_mid_pre, m1 * perm2_suf, out=terms.cross3_mid_pre)
-    across += np.divide(terms.cross4, perm2_pre * perm2_suf, out=terms.cross4)
+    across -= np.divide(t.cross3_mid_suf, perm2_pre * m2, out=t.cross3_mid_suf)
+    across -= np.divide(t.cross3_mid_pre, m1 * perm2_suf, out=t.cross3_mid_pre)
+    across += np.divide(t.cross4, perm2_pre * perm2_suf, out=t.cross4)
     across *= 2.0
-    out = np.add(terms.pre2, terms.suf2, out=out)
+    out = np.add(t.pre2, t.suf2)
     out -= across
     return out
 
@@ -505,36 +561,41 @@ def _cov_result(per_tau: np.ndarray, n: int) -> CovStatResult:
     return CovStatResult(StatCurve(4, n - 4, per_tau), aggregate)
 
 
-def _pass_curve(first: int, terms: _SweepTerms, n: int, curve: np.ndarray) -> None:
-    """Write the curve at the splits one pass serves into ``curve``, the splits 4 .. n-4.
-
-    It is formed in place in the pass's sums (see :func:`_split_values`).
-    """
-    lo, hi = max(first, 4), min(first + len(terms.pre1), n - 3)
-    split = _SweepTerms(*(f[lo - first : hi - first] for f in terms))
-    _split_values(split, lo, n, out=curve[lo - 4 : hi - 4])
-
-
 def _curves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The curve at the splits 4 .. n-4, and the rows pre1, suf1 and cross1 at t = 0 .. n-1.
+    """The covariance curve at the splits 4 .. n-4 and the mean curve at the splits 2 .. n-2.
 
-    Those three sums are the mean curve's pair sums.  All are sums of the
-    centered rows, on the path the shape picks: the feature path's two
-    passes or the Gram path's one.  Each pass's curve is formed as soon
-    as the pass ends, so beside one pass this holds four rows of n.
+    Both come from the sums of the centered rows, on the path the shape
+    picks: the feature path's chunks or the Gram path's one sweep.  The
+    mean curve needs three of them, pre1, suf1 and cross1, its pair sums.
+    Both curves are written on a chunk's splits as soon as its sums are
+    formed, the covariance curve in place in them (see
+    :func:`_split_values`), so beside one chunk this holds the two curves.
     """
     n, p = x.shape
-    curve = np.empty(n - 7)
-    pairs = np.empty((3, n))
+    cov, mean = np.empty(n - 7), np.empty(n - 3)
     if n >= _FEATURE_ROWS_PER_COLUMN * p:
-        passes = _feature_passes(x, x.mean(axis=0))
+        chunks = _feature_passes(x, x.mean(axis=0))
     else:
-        passes = [(1, _sweep(n, _centered_panels(x)))]
-    for first, terms in passes:
-        _place(pairs, first, (terms.pre1, terms.suf1, terms.cross1))
-        _pass_curve(first, terms, n, curve)
-        del terms       # freed before the next pass is formed
-    return curve, pairs
+        chunks = [(1, 1, _sweep(n, _centered_panels(x)), _FIELDS)]
+    for first, step, base, rows in chunks:
+        # The chunk's splits after lo .. hi rows that lie in 2 .. n-2, in
+        # its columns j .. j + hi - lo: ascending where step = 1, descending
+        # where step = -1, and so the curves' values too.
+        last = first + step * (base.shape[1] - 1)
+        lo, hi = max(min(first, last), 2), min(max(first, last), n - 2)
+        if lo <= hi:
+            j = lo - first if step > 0 else first - hi
+            base = base[:, j : j + hi - lo + 1]
+            m = _side_sizes(lo if step > 0 else hi, hi - lo + 1, n, step)
+            mean[lo - 2 : hi - 1] = _mean_values(
+                base[rows.pre1], base[rows.suf1], base[rows.cross1], m)[::step]
+            # Among them, those after lo4 .. hi4 rows, which lie in 4 .. n-4.
+            lo4, hi4 = max(lo, 4), min(hi, n - 4)
+            j = lo4 - lo if step > 0 else hi - hi4
+            cols = slice(j, j + max(hi4 - lo4 + 1, 0))
+            cov[lo4 - 4 : hi4 - 3] = _split_values(base[:, cols], rows, m[:, cols])[::step]
+        del base    # freed before the next chunk is formed
+    return cov, mean
 
 
 def _centered_panels(x: np.ndarray):

@@ -12,9 +12,10 @@ for data far from the origin, where the statistic, translation invariant
 in exact arithmetic, would otherwise lose its digits to cancellation.
 
 The three pair sums per split are also sums the covariance sweep needs,
-so the pipeline takes the curve from that sweep through :func:`_mean_result`
-and runs no pass of its own for it; :func:`mean_stat_curve` is the cheaper
-route for callers who want the mean curve alone.
+so the sweep forms the curve from them, one range of splits at a time,
+through :func:`_mean_values`, and the pipeline runs no pass of its own
+for it; :func:`mean_stat_curve` is the cheaper route for callers who
+want the mean curve alone.
 """
 
 from __future__ import annotations
@@ -79,25 +80,39 @@ def mean_stat_curve(data) -> MeanStatResult:
     # |s2|^2 and s1 . s2 expanded: safe, since the centered total is at
     # rounding level.
     return _mean_result(
-        s1_sq - q1,
-        total_sq - 2.0 * s1_total + s1_sq - (sq_norms[-1] - q1),
-        s1_total - s1_sq,
+        _mean_values(
+            s1_sq - q1,
+            total_sq - 2.0 * s1_total + s1_sq - (sq_norms[-1] - q1),
+            s1_total - s1_sq,
+            _side_sizes(2, n - 3, n),
+        ),
         n,
     )
 
 
-def _mean_result(within1, within2, cross, n: int) -> MeanStatResult:
-    """Curve and aggregate from three inner-product sums at the splits 2 .. n-2.
+def _side_sizes(first: int, count: int, n: int, step: int = 1) -> np.ndarray:
+    """[m1, m2], the sizes of the two sides at the splits after first, first + step, ... rows."""
+    m1 = np.arange(first, first + step * count, step, dtype=np.float64)
+    return np.array((m1, n - m1))
+
+
+def _mean_values(within1, within2, cross, m: np.ndarray) -> np.ndarray:
+    """The curve at a range of splits, from three inner-product sums there.
 
     within1 and within2 sum x_i . x_j over distinct i, j before and after
-    the split, cross over i before it and j after it.
+    the split, cross over i before it and j after it; m = [m1, m2] holds
+    the sizes of the two sides (:func:`_side_sizes`).  Elementwise, so the
+    curve can be formed one range of splits at a time.
     """
+    n1, n2 = m
+    out = within1 / (n1 * (n1 - 1.0))
+    out += within2 / (n2 * (n2 - 1.0))
+    out -= 2.0 * cross / (n1 * n2)
+    return out
+
+
+def _mean_result(per_tau: np.ndarray, n: int) -> MeanStatResult:
+    """The curve at the splits 2 .. n-2 with its aggregate."""
     n1 = np.arange(2, n - 1, dtype=np.float64)
-    n2 = n - n1
-    per_tau = (
-        within1 / (n1 * (n1 - 1.0))
-        + within2 / (n2 * (n2 - 1.0))
-        - 2.0 * cross / (n1 * n2)
-    )
-    aggregate = float(np.dot(n1 * n2 / n, per_tau))
+    aggregate = float(np.dot(n1 * (n - n1) / n, per_tau))
     return MeanStatResult(StatCurve(2, n - 2, per_tau), aggregate)

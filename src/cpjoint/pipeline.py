@@ -140,10 +140,8 @@ def _statistics(data: Dataset) -> _Statistics:
         # The data are finite, so a non-finite curve is an overflow too.
         with np.errstate(over="raise", invalid="raise"):
             calib = calibrate(trace_sigma2_hat(data), n)
-            curve, pairs = _curves(data.values)
-            # Prefixes of 2 .. n-2 rows: the mean curve's pair sums.
-            mean_result = _mean_result(*pairs[:, 1 : n - 2], n)
-            return _Statistics(calib, mean_result, _cov_result(curve, n))
+            cov_curve, mean_curve = _curves(data.values)
+            return _Statistics(calib, _mean_result(mean_curve, n), _cov_result(cov_curve, n))
     except (FloatingPointError, NonFiniteValueError):
         raise DegenerateScaleError(
             f"data scale out of range: entries up to {np.abs(data.values).max():.3g} "

@@ -18,6 +18,7 @@ import enum
 import functools
 import math
 import operator
+import os
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
@@ -280,6 +281,14 @@ def _one_rep(args) -> tuple:
     return rejects, tau_hats, outcome.z_mean, outcome.z_cov, outcome.t_n
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS reports one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this OS
+        return os.cpu_count() or 1
+
+
 def run_experiment(
     model: SimulationModel,
     reps: int,
@@ -291,7 +300,8 @@ def run_experiment(
     """Empirical size/power and localization accuracy over ``reps`` runs.
 
     Replication r uses the stream seeded by ``mix_seed(model.seed, r)``,
-    so the report is bit-identical for every parallelism degree.  When
+    so the report is bit-identical for every parallelism degree.  At most
+    one worker process runs per CPU the process may use.  When
     the model has a changepoint, each method's mean absolute estimation
     error is reported alongside its rejection rate.  ``calibration`` is
     as in :func:`cpjoint.detect`.
@@ -307,7 +317,7 @@ def run_experiment(
     _check_calibration(calibration)
 
     jobs = [(model, rep, alpha, lam, calibration) for rep in range(reps)]
-    workers = min(parallelism, reps)
+    workers = min(parallelism, reps, _usable_cpus())
     if workers == 1:
         results = [_one_rep(job) for job in jobs]
     else:

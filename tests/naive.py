@@ -36,6 +36,7 @@ from cpjoint.errors import (
     PValueRangeError,
     SampleTooSmallError,
 )
+from cpjoint.mean_shift import _side_sizes
 from cpjoint.tails import BELOW_ONE, TINY, _erfc, _validate_finite
 
 _MAX_N_MEAN = 24
@@ -156,18 +157,21 @@ def _sweep_terms(g: np.ndarray) -> _SweepTerms:
     The sweep consumes g: on return it holds no Gram entries.
     """
     n = len(g)
-    return cov_shift._sweep(n, [(blocks, g) for blocks in cov_shift._panel_blocks(n, n)])
+    panels = [(blocks, g) for blocks in cov_shift._panel_blocks(n, n)]
+    return _SweepTerms(*cov_shift._sweep(n, panels))
 
 
 def _feature_terms(x: np.ndarray, center: np.ndarray | float = 0.0) -> _SweepTerms:
     """The thirteen sums of the rows x_i - center at t = 0 .. n-1, by the package's feature passes.
 
-    One pass's sums are alive at a time, as in the package.
+    Entry t is the split after t + 1 rows.  Each chunk's sums are copied
+    out before the package overwrites them with the next chunk's.
     """
     terms = np.empty((len(_SweepTerms._fields), x.shape[0]))
-    for first, sums in cov_shift._feature_passes(x, center):
-        cov_shift._place(terms, first, sums)
-        del sums
+    for first, step, base, rows in cov_shift._feature_passes(x, center):
+        if step < 0:        # columns after first, first - 1, ... rows
+            first, base = first - base.shape[1] + 1, base[:, ::-1]
+        terms[:, first - 1 : first - 1 + base.shape[1]] = base[list(rows)]
     return _SweepTerms(*terms)
 
 
@@ -177,8 +181,9 @@ def _curve(terms: _SweepTerms, n: int) -> CovStatResult:
     The curve is formed in the sums' own dtype and rounded only at the end.
     """
     k = slice(3, n - 4)                     # a prefix of tau rows ends at row tau - 1
-    split = _SweepTerms(*(f[k].copy() for f in terms))
-    return cov_shift._cov_result(cov_shift._split_values(split, 4, n), n)
+    split = np.array([f[k] for f in terms])
+    m = _side_sizes(4, n - 7, n)
+    return cov_shift._cov_result(cov_shift._split_values(split, cov_shift._FIELDS, m), n)
 
 
 def direct_sweep_terms(g: np.ndarray) -> _SweepTerms:

@@ -207,6 +207,35 @@ def test_feature_path_sweeps_each_row_once(n, p, monkeypatch):
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), name
 
 
+@pytest.mark.parametrize("block", [4, 64])
+@pytest.mark.parametrize(
+    "shape",
+    [(8, 2), (9, 2), (63, 5), (64, 5), (65, 5), (129, 10), (257, 20), (2001, 20), (2000, 50)],
+)
+def test_chunk_size_changes_no_bit(shape, block, monkeypatch):
+    # The running sums carry over from chunk to chunk and the curves are
+    # elementwise, so chunks of one block or of a whole pass give the bits
+    # of the default chunks, including where a block or a chunk is ragged.
+    monkeypatch.setattr(cov_shift, "_FEATURE_BLOCK", block)
+    x = np.random.default_rng(shape[0]).standard_normal(shape) + 0.5
+    assert shape[0] >= _FEATURE_ROWS_PER_COLUMN * shape[1]
+    default = cov_shift._curves(x)
+    for rows in (lambda m: block, lambda m: m):
+        monkeypatch.setattr(cov_shift, "_chunk_rows", rows)
+        for got, want in zip(cov_shift._curves(x), default):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("block", [3, 64])
+def test_chunks_are_whole_blocks(block, monkeypatch):
+    # 256 rows, or about a sixteenth of a long pass, in whole blocks.
+    monkeypatch.setattr(cov_shift, "_FEATURE_BLOCK", block)
+    for m in (1, 1000, 4095, 50_000):
+        rows = cov_shift._chunk_rows(m)
+        assert rows % block == 0
+        assert 256 - block < rows <= max(256, m / 16 + block)
+
+
 @pytest.mark.parametrize("shape", [(200, 100), (400, 200)])
 def test_gram_path_accuracy_against_extended_precision(shape):
     n, p = shape

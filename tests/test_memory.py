@@ -10,6 +10,7 @@ from cpjoint import (
     ErrorDist,
     SimulationModel,
     cli,
+    data,
     detect,
     gen_dataset,
     gram,
@@ -181,6 +182,14 @@ def test_reuse_check_forms_no_n_by_p_temporary():
     assert traced_peak(pipeline._same_bits, x, x.copy()) < 0.05 * x.nbytes
 
 
+@pytest.mark.parametrize("shape", [(200, 5000), (20_000, 20)])
+def test_finite_scan_forms_no_n_by_p_temporary(shape):
+    # np.isfinite over the whole matrix forms an n x p bool array, an
+    # eighth of x; the scan checks blocks of about 64K entries.
+    x = np.random.default_rng(8).standard_normal(shape)
+    assert traced_peak(data._finite_matrix, x) < 0.05 * x.nbytes
+
+
 def test_detect_on_a_long_series_holds_one_pass_of_sums(monkeypatch):
     # 2000 x 50: beside the copy, one pass's sums (13 rows of n / 2), four
     # rows of n and the block buffers.  The 13 x n sums of both passes, or
@@ -194,6 +203,21 @@ def test_detect_on_a_very_long_series_stays_below_30_mb(monkeypatch):
     # peak to 39 MB.
     x = np.random.default_rng(6).standard_normal((100_000, 20))
     assert warm_detect_peak(x, monkeypatch) <= 30e6
+
+
+def test_detect_on_a_long_series_holds_one_chunk_of_sums(monkeypatch):
+    # 2000 x 50: beside the copy, one chunk's sums (16 rows of 257), the
+    # two curves and the block buffers.  One pass's 13 sums of n / 2 and
+    # three pair rows of n took it to 1.52x.
+    x = np.random.default_rng(2).standard_normal((2000, 50))
+    assert warm_detect_peak(x, monkeypatch) < 1.45 * x.nbytes
+
+
+def test_detect_on_a_very_long_series_stays_below_21_mb(monkeypatch):
+    # 10^5 x 20, 16 MB of data: one pass's sums and the pair rows took the
+    # peak to 28 MB.
+    x = np.random.default_rng(6).standard_normal((100_000, 20))
+    assert warm_detect_peak(x, monkeypatch) <= 21e6
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,21 @@
+"""tools/peak_probe.py: the traced peak of a fresh detect, with no analysis kept after it."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from cpjoint import pipeline
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "peak_probe.py"
+_spec = importlib.util.spec_from_file_location("peak_probe", _PATH)
+peak_probe = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(peak_probe)
+
+
+def test_fresh_detect_peak_holds_the_copy_and_keeps_nothing():
+    x = np.random.default_rng(0).standard_normal((400, 20))
+    peak = peak_probe.fresh_detect_peak(x)
+    # detect stores a copy of the data, so the peak is at least the data.
+    assert peak >= x.nbytes
+    assert pipeline._last_seen is None

@@ -338,6 +338,36 @@ class TestRunExperiment:
             run_experiment(_model(), reps=4, lam=lam, parallelism=2)
         assert started == []
 
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_pool_capped_at_the_usable_cpus(self, affinity, monkeypatch):
+        # The pool is replaced by one that records its size and runs the
+        # jobs in this process, so that no worker process starts.
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        if affinity:
+            monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                                raising=False)
+        else:
+            monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        report = run_experiment(_model(), reps=8, parallelism=500)
+        assert sizes == [3 if affinity else 2]
+        _assert_same_report(report, run_experiment(_model(), reps=8, parallelism=1))
+
     def test_numpy_integer_counts_accepted(self):
         report = run_experiment(_model(), reps=np.int64(2), parallelism=np.int32(1))
         assert report.rep_count == 2

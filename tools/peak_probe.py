@@ -1,0 +1,53 @@
+"""Print the traced memory peak of a fresh ``detect`` on each README shape.
+
+For each shape the data are standard normal draws.  A first ``detect`` on
+the reversed rows fills the caches a long-running process has already
+paid for; the kept analysis is then dropped, and the peak of one more
+``detect`` is read with tracemalloc.  Each line gives the shape, the size
+of the data, the peak and the peak's ratio to the data.
+
+    python tools/peak_probe.py
+
+It runs the cpjoint sources beside this script.  It exits non-zero only
+if a shape raises; the numbers themselves are informational.
+"""
+
+from __future__ import annotations
+
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from cpjoint import detect, pipeline  # noqa: E402
+
+SHAPES = ((200, 100), (1000, 500), (2000, 600), (2000, 50), (100_000, 20))
+
+
+def fresh_detect_peak(x: np.ndarray) -> int:
+    """Traced peak, in bytes, of ``detect`` on x with no analysis kept."""
+    detect(x[::-1])
+    pipeline._last_seen = None
+    tracemalloc.start()
+    try:
+        detect(x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        pipeline._last_seen = None
+
+
+def main() -> int:
+    print(f"{'shape':<12}{'data MB':>9}{'peak MB':>9}{'ratio':>7}")
+    for n, p in SHAPES:
+        x = np.random.default_rng(n + p).standard_normal((n, p))
+        peak = fresh_detect_peak(x)
+        print(f"{f'{n}x{p}':<12}{x.nbytes / 1e6:>9.2f}{peak / 1e6:>9.2f}{peak / x.nbytes:>7.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
