@@ -561,7 +561,7 @@ def _cov_result(per_tau: np.ndarray, n: int) -> CovStatResult:
     return CovStatResult(StatCurve(4, n - 4, per_tau), aggregate)
 
 
-def _curves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _curves(x: np.ndarray, with_mean: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """The covariance curve at the splits 4 .. n-4 and the mean curve at the splits 2 .. n-2.
 
     Both come from the sums of the centered rows, on the path the shape
@@ -570,9 +570,11 @@ def _curves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Both curves are written on a chunk's splits as soon as its sums are
     formed, the covariance curve in place in them (see
     :func:`_split_values`), so beside one chunk this holds the two curves.
+    With ``with_mean=False`` the mean curve is not formed and comes back
+    as None.
     """
     n, p = x.shape
-    cov, mean = np.empty(n - 7), np.empty(n - 3)
+    cov, mean = np.empty(n - 7), (np.empty(n - 3) if with_mean else None)
     if n >= _FEATURE_ROWS_PER_COLUMN * p:
         chunks = _feature_passes(x, x.mean(axis=0))
     else:
@@ -587,8 +589,9 @@ def _curves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             j = lo - first if step > 0 else first - hi
             base = base[:, j : j + hi - lo + 1]
             m = _side_sizes(lo if step > 0 else hi, hi - lo + 1, n, step)
-            mean[lo - 2 : hi - 1] = _mean_values(
-                base[rows.pre1], base[rows.suf1], base[rows.cross1], m)[::step]
+            if with_mean:
+                mean[lo - 2 : hi - 1] = _mean_values(
+                    base[rows.pre1], base[rows.suf1], base[rows.cross1], m)[::step]
             # Among them, those after lo4 .. hi4 rows, which lie in 4 .. n-4.
             lo4, hi4 = max(lo, 4), min(hi, n - 4)
             j = lo4 - lo if step > 0 else hi - hi4
@@ -672,4 +675,4 @@ def cov_stat_curve(data, g: np.ndarray | None = None) -> CovStatResult:
         raise NotAMatrixError(
             f"g must be the {n} x {n} Gram matrix of the data, got shape {np.shape(g)}"
         )
-    return _cov_result(_curves(x)[0], n)
+    return _cov_result(_curves(x, with_mean=False)[0], n)

@@ -226,6 +226,20 @@ def test_chunk_size_changes_no_bit(shape, block, monkeypatch):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("shape", [(40, 30), (400, 20)])
+def test_cov_stat_curve_forms_no_mean_curve(shape, monkeypatch):
+    # On either path the covariance curve alone is formed, with the bits of
+    # the curve that the pipeline reads beside the mean curve.
+    x = np.random.default_rng(shape[0]).standard_normal(shape) + 0.5
+    want = cov_shift._curves(x)[0]
+
+    def refuse(*args):
+        raise AssertionError("mean curve formed")
+
+    monkeypatch.setattr(cov_shift, "_mean_values", refuse)
+    assert np.array_equal(cov_stat_curve(x).per_tau.values, want)
+
+
 @pytest.mark.parametrize("block", [3, 64])
 def test_chunks_are_whole_blocks(block, monkeypatch):
     # 256 rows, or about a sixteenth of a long pass, in whole blocks.
