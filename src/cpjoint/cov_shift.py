@@ -16,7 +16,7 @@ thirteen running index-tuple sums, which two paths compute:
   at most max(p, b) columns, at a time, and the sweep turns each block
   in place into its column prefix sums and then its suffix sums.  So it
   holds one panel of at most n max(p, b) entries and O(n), and the whole
-  matrix only where one panel covers it: a traced peak of 0.39 MB for
+  matrix only where one panel covers it: a traced peak of 0.38 MB for
   ``detect`` at n = 200, p = 100, whose data take 0.16 MB and g would
   take 0.32 MB.  Where p < n the panels cost up to twice the flops of
   one symmetric product;
@@ -35,12 +35,14 @@ thirteen running index-tuple sums, which two paths compute:
 Each split has a shorter and a longer side.  Both paths sum the shorter
 side directly: as the totals minus the longer side it would be a small
 difference of large sums and lose its digits (Chan, Golub & LeVeque,
-1983).  The feature path, which sweeps each row once, takes the longer
-side as the totals minus the shorter one.  That stays accurate: the
-longer side holds at least half of the rows, so on rows of like size its
-sums are a fixed share of the totals; where the shorter side holds far
-larger rows, the longer side keeps the totals' absolute accuracy, and
-the totals are then the scale of the curve at that split.
+1983).  The Gram path sums both sides of every split directly, down to
+each column's entries above and below the diagonal.  The feature path,
+which sweeps each row once, takes the longer side as the totals minus
+the shorter one.  That stays accurate: the longer side holds at least
+half of the rows, so on rows of like size its sums are a fixed share of
+the totals; where the shorter side holds far larger rows, the longer
+side keeps the totals' absolute accuracy, and the totals are then the
+scale of the curve at that split.
 
 Both paths compute the sums of the centered rows: the statistic is
 translation invariant, the sums are not, and on raw data far from the
@@ -160,9 +162,9 @@ def _tail_sums(v: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _block_masks(width: int) -> np.ndarray:
-    """0/1 masks [j <= t, j > t] over a width x width diagonal block."""
+    """0/1 masks [j <= t, j > t, j < t] over a width x width diagonal block."""
     low = np.tri(width)
-    masks = np.stack((low, 1.0 - low))
+    masks = np.stack((low, 1.0 - low, np.tri(width, k=-1)))
     masks.setflags(write=False)
     return masks
 
@@ -205,75 +207,53 @@ def _sweep(n: int, panels) -> np.ndarray:
     block's hi, all n rows of them, and the sweep consumes it before it
     draws the next panel.
 
-    The two-index sums follow from the column sums of g and g^2 above and
-    below the diagonal, each side accumulated from its own end, so that a
-    short prefix or suffix never comes out as a difference of long ones.
-    With C[t, j] the sum of g[i, j] over i <= t, i != j and S[t, j] the sum
-    over i > t, i != j, the three-index sums need per row t the sums of C^2
-    and S^2 over j <= t and over j > t.  One block of about _BLOCK columns
-    at a time gives its edge sums from the raw columns, then becomes C in
-    place, by one cumsum, and S = C[-1] - C in turn: O(n^2) time and O(n)
-    memory beside the panel.
+    The two-index sums follow from each column's sums of g and g^2 above
+    and below the diagonal, each side summed directly and accumulated over
+    the columns from its own end, so that a short prefix or suffix never
+    comes out as a difference of long ones.  With C[t, j] the sum of
+    g[i, j] over i <= t, i != j and S[t, j] the sum over i > t, i != j, the
+    three-index sums need per row t the sums of C^2 and S^2 over j <= t
+    and over j > t.  One block of about _BLOCK columns at a time gives its
+    edge sums from the raw columns, then becomes C in place, by one
+    cumsum, and S = C[-1] - C in turn: O(n^2) time and O(n) memory beside
+    the panel.
     """
     # edge[side, power, t]: sums of g[i, t]^power over i < t (side 0) and
     # over i > t (side 1).  rows[side, half, t]: sums of C[t, j]^2 (side 0)
     # and S[t, j]^2 (side 1) over j <= t (half 0) and over j > t (half 1).
     edge = np.empty((2, 2, n))
     rows = np.zeros((2, 2, n))
-    diagonal_squares = np.empty(n)
     n_blocks = -(-n // _BLOCK)
-    width = -(-n // n_blocks)
-    masks = _block_masks(width)
+    masks = _block_masks(-(-n // n_blocks))     # for the widest block
     out = np.empty((len(_SweepTerms._fields), n))
     for blocks, cols in panels:
         for lo, hi in blocks:
             # Columns j = lo .. hi-1.  Rows above the block have only j > t,
             # rows below it only j <= t; the square diagonal block takes the
-            # masks.  The first block has no rows above it, the last none
-            # below it.
-            b = hi - lo
+            # masks, where masks[1] also marks the rows i < j and masks[2]
+            # the rows i > j.  The first block has no rows above it, the
+            # last none below it.
             c = cols[:, lo - blocks[0][0] : hi - blocks[0][0]]
             block = c[lo:hi]
+            diagonal = masks[:, : hi - lo, : hi - lo]
+            for side, outside in ((0, c[:lo]), (1, c[hi:])):
+                col = np.einsum("ij,ij,ij->j", block, block, diagonal[side + 1],
+                                out=edge[side, 1, lo:hi])
+                col += np.einsum("ij,ij->j", outside, outside)
             on_diagonal = np.einsum("ii->i", block)     # a writable view
-            # In the diagonal block, masks[1] also marks the rows i < j.
-            col = np.einsum("ij,ij,ij->j", block, block, masks[1, :b, :b],
-                            out=edge[0, 1, lo:hi])
-            if lo:
-                col += np.einsum("ij,ij->j", c[:lo], c[:lo])
-            np.einsum("ij,ij->j", c, c, out=edge[1, 1, lo:hi])     # whole columns
-            np.square(on_diagonal, out=diagonal_squares[lo:hi])
             on_diagonal[...] = 0.0
             np.cumsum(c, axis=0, out=c)                 # C
             last = c[-1].copy()
             # C and S at [t, t - lo] for the rows t of the block.
             edge[0, 0, lo:hi] = on_diagonal
             np.subtract(last, on_diagonal, out=edge[1, 0, lo:hi])
-            for half, part in ((1, slice(0, lo)), (0, slice(hi, n))):
-                other = c[part]
-                if len(other):
-                    rows[0, half, part] += np.einsum("ij,ij->i", other, other)
-                    np.subtract(last, other, out=other)     # S
-                    rows[1, half, part] += np.einsum("ij,ij->i", other, other)
-            # The diagonal block needs C^2 and S^2 at once: its S^2 goes to
-            # rows already spent, the larger side outside the block or, with
-            # one block, a spare of a quarter of its rows, 32 KB at n = 128:
-            # four chunks, where the 13 rows of out would take ceil(n / 13),
-            # each a few numpy calls; then its C^2 in place.
-            if n_blocks > 1:
-                spare = max(c[:lo], c[hi:], key=len)
-            else:
-                spare = np.empty((-(-n // 4), n))
-            for r0 in range(0, b, len(spare)):
-                r1 = min(r0 + len(spare), b)
-                sq = np.subtract(last, block[r0:r1], out=spare[: r1 - r0])
-                np.square(sq, out=sq)
-                rows[1, :, lo + r0 : lo + r1] += np.einsum("ij,kij->ki", sq, masks[:, r0:r1, :b])
-            np.square(block, out=block)
-            rows[0, :, lo:hi] += np.einsum("ij,kij->ki", block, masks[:, :b, :b])
+            for side in (0, 1):
+                if side:
+                    np.subtract(last, c, out=c)         # S
+                rows[side, 1, :lo] += np.einsum("ij,ij->i", c[:lo], c[:lo])
+                rows[side, 0, hi:] += np.einsum("ij,ij->i", c[hi:], c[hi:])
+                rows[side, :, lo:hi] += np.einsum("ij,ij,kij->ki", block, block, diagonal[:2])
 
-    # Below the diagonal by difference, column by column.
-    edge[1, 1] -= edge[0, 1]
-    edge[1, 1] -= diagonal_squares
     head = np.cumsum(edge, axis=2)      # over the columns 0 .. t
     tail = _tail_sums(edge)             # over the columns t+1 .. n-1
     t = _SweepTerms(*out)
@@ -354,27 +334,34 @@ def _chunk_rows(m: int) -> int:
     return blocks * _FEATURE_BLOCK
 
 
-# The rows of a chunk of :func:`_row_sums`, x_t's, s_t's and r_t's sums four
-# rows apart, and of the sums :func:`_side_sums` makes of them in place.
+# The rows of a chunk of :func:`_side_sums`: the row-wise sums, x_t's, s_t's
+# and r_t's four rows apart, and the thirteen sums made of them in place.
 (_Q, _X_TOT, _X_QUAD, _QQ, _SS, _S_TOT, _S_QUAD, _SR,
  _RR, _R_TOT, _REST_QUAD, _R_U, _U_S, _U_R, _SUF_FROB, _SUF_Q2) = range(16)
 _SIDE_ROWS = _SweepTerms(_SS, _X_QUAD, _S_QUAD, _Q, _RR, _SUF_FROB, _R_TOT, _U_S,
                          _SR, _X_TOT, _S_TOT, _REST_QUAD, _U_R)
 
 
-def _row_sums(x: np.ndarray, tot: _Totals):
-    """The row-wise sums :func:`_side_sums` reads, one chunk of rows at a time.
+def _side_sums(x: np.ndarray, tot: _Totals):
+    """The thirteen sums for the splits after each of the first k rows of x, one chunk at a time.
 
-    Row t = k - 1 of x, less ``tot.center``, gives entry k of: q_t, s.s,
-    r.r, s.r; v' A_n v for v = x_t, s_t, r_t; r . u_n; v' A_t v (A_{t-1}
-    for x_t); u_t . s_t and u_t . r_t.  Entry 0, the empty prefix, is 0.
-    Yields (k, acc) per chunk of :func:`_chunk_rows` rows, with column j
-    of acc at entry k + j for the entries of the chunk's rows; the first
-    chunk leads with entry 0.  acc has the 16 rows named above, three
-    spare, and the next chunk overwrites it.  A_t, u_t and s_t run on from
-    chunk to chunk, and each block of b = _FEATURE_BLOCK rows forms its
-    x_t, s_t and r_t, reads the sums off them and drops them: O(b p + b^2
-    + p^2) working memory beside one chunk's sums.
+    Entry k puts rows 0 .. t = k-1 of x in the prefix and every other row
+    of the data in the suffix; the rows are taken less ``tot.center``, and
+    entry 0 is the split after no rows.  The prefix sums are polynomials in
+    its moments s_t, A_t, u_t and ||A_t||_F^2, e.g. pre2 = ||A_t||_F^2 -
+    sum q_i^2; the suffix sums are the totals minus the prefix's, with
+    r_t = s_n - s_t for the suffix's row sum.
+
+    Yields (k, acc) per chunk of :func:`_chunk_rows` rows, with column j of
+    acc at entry k + j for the entries of the chunk's rows; the first chunk
+    leads with entry 0.  acc has 16 rows, and _SIDE_ROWS names the sums'
+    rows among them; the next chunk overwrites it.  Each block of
+    b = _FEATURE_BLOCK rows forms its x_t, s_t and r_t and reads off them,
+    per row, q_t, s.s, r.r, s.r; v' A_n v for v = x_t, s_t, r_t; r . u_n;
+    v' A_t v (A_{t-1} for x_t); u_t . s_t and u_t . r_t.  The chunk's
+    formulas then turn these into the sums in place.  A_t, u_t, s_t and
+    the running sums go on from chunk to chunk: O(b p + b^2 + p^2) working
+    memory beside one chunk's sums.
     """
     m, p = x.shape
     width = min(_FEATURE_BLOCK, m)
@@ -385,6 +372,9 @@ def _row_sums(x: np.ndarray, tot: _Totals):
     a = np.zeros((p, p))                    # A_t and u_t at the start of the block
     u = np.zeros(p)
     s_end = np.zeros(p)                     # s_t at the end of the last block
+    # The running sums at the entry before the chunk: sum q, sum x_t' A_n x_t,
+    # ||A_t||^2 and sum q^2.
+    carry = np.zeros(4)
     rows = min(_chunk_rows(m), m)
     chunk = np.zeros((16, rows + 1))
     for c0 in range(0, m, rows):
@@ -426,24 +416,7 @@ def _row_sums(x: np.ndarray, tot: _Totals):
             a += np.matmul(xb.T, xb, out=work[: p * p].reshape(p, p))
             u += qb @ xb
             s_end[...] = sb[-1]
-        yield k, acc
 
-
-def _side_sums(x: np.ndarray, tot: _Totals):
-    """The thirteen sums for the splits after each of the first k rows of x, one chunk at a time.
-
-    Entry k puts rows 0 .. t = k-1 of x in the prefix and every other row
-    of the data in the suffix; the rows are taken less ``tot.center``.  The
-    prefix sums are polynomials in its moments s_t, A_t, u_t and
-    ||A_t||_F^2, e.g. pre2 = ||A_t||_F^2 - sum q_i^2; the suffix sums are
-    the totals minus the prefix's, with r_t = s_n - s_t for the suffix's
-    row sum.  Yields (k, acc) for each chunk of :func:`_row_sums`, whose
-    rows the formulas overwrite in place: _SIDE_ROWS names the sums' rows.
-    """
-    # The running sums at the entry before the chunk: sum q, sum x_t' A_n x_t,
-    # ||A_t||^2 and sum q^2.
-    carry = np.zeros(4)
-    for k, acc in _row_sums(x, tot):
         (q, x_tot, x_quad, qq, ss, s_tot, s_quad, sr, rr, r_tot, rest_quad, r_u, u_s, u_r,
          suf_frob, suf_q2) = acc
         np.square(q, out=qq)
@@ -500,7 +473,7 @@ def _feature_passes(x: np.ndarray, center: np.ndarray | float):
     Yields (first, step, base, rows): column j of base is the split after
     first + step * j rows, and ``rows`` names the row of base that holds
     each sum.  The forward pass over rows 0 .. h-1, h = n // 2, serves the
-    splits after 1 .. h rows, whose prefix is the shorter side, and a pass
+    splits after 0 .. h rows, whose prefix is the shorter side, and a pass
     over the reversed rows n-1 .. h+1 the splits after n .. h+1 rows,
     whose suffix is, so that there step = -1.  The next chunk overwrites
     base, so a consumer is done with it before it asks for the next, and
@@ -509,13 +482,12 @@ def _feature_passes(x: np.ndarray, center: np.ndarray | float):
     n = x.shape[0]
     h = n // 2
     tot = _totals(x, center)
-    for k, acc in _side_sums(x[:h], tot):
-        skip = int(k == 0)      # entry 0, the split after no rows, is none
-        yield k + skip, 1, acc[:, skip:], _SIDE_ROWS
-    del acc     # freed before the second pass's chunk is formed
-    mirror = _SIDE_ROWS.mirrored()      # prefix and suffix trade places
-    for k, acc in _side_sums(x[:h:-1], tot):
-        yield n - k, -1, acc, mirror
+    # In the reversed pass prefix and suffix trade places.
+    for start, step, rows, part in ((0, 1, _SIDE_ROWS, x[:h]),
+                                    (n, -1, _SIDE_ROWS.mirrored(), x[:h:-1])):
+        for k, acc in _side_sums(part, tot):
+            yield start + step * k, step, acc, rows
+        del acc     # freed before the second pass's chunk is formed
 
 
 def _split_values(base: np.ndarray, rows: _SweepTerms, m: np.ndarray) -> np.ndarray:

@@ -6,10 +6,11 @@ distinct post-split indices j1 != j2.  That removes the within-group
 variance terms, so its expectation is exactly the squared distance between
 the pre- and post-split mean vectors (0 when nothing changed).  The curve
 over every split and its weighted aggregate are computed through running
-prefix sums of centered columns, b = _BLOCK columns at a time: O(np) time
-and O(n b) memory beyond the input.  Centering keeps the prefix sums small
-for data far from the origin, where the statistic, translation invariant
-in exact arithmetic, would otherwise lose its digits to cancellation.
+prefix sums of centered columns, b = _BLOCK columns at a time, and the
+suffix sums left of the totals: O(np) time and O(n b) memory beyond the
+input.  Centering keeps the prefix sums small for data far from the
+origin, where the statistic, translation invariant in exact arithmetic,
+would otherwise lose its digits to cancellation.
 
 The three pair sums per split are also sums the covariance sweep needs,
 so the sweep forms the curve from them, one range of splits at a time,
@@ -55,12 +56,12 @@ def mean_stat_curve(data) -> MeanStatResult:
     if n < 4:
         raise SampleTooSmallError(f"mean-shift curve needs n >= 4, got {n}")
 
-    # With s1 the sum of the first t rows and total the sum of all of them,
-    # the curve needs per split |s1|^2, s1 . total and |total|^2, summed
-    # over the column blocks; s2 = total - s1 is never formed.
+    # With s1 the sum of the first t rows and s2 = total - s1 that of the
+    # others, the curve needs per split |s1|^2, s1 . total and |s2|^2,
+    # summed over the column blocks.
     s1_sq = np.zeros(n - 3)
     s1_total = np.zeros(n - 3)
-    total_sq = 0.0
+    s2_sq = np.zeros(n - 3)
     q = np.zeros(n)
     means = x.mean(axis=0)
     buf = np.empty((n, min(p, _BLOCK)))
@@ -69,23 +70,21 @@ def mean_stat_curve(data) -> MeanStatResult:
         block = np.subtract(cols, means[lo : lo + _BLOCK], out=buf[:, : cols.shape[1]])
         q += np.einsum("ij,ij->i", block, block)
         np.cumsum(block, axis=0, out=block)
-        s1 = block[1 : n - 2]       # row t-1 holds the sum of the first t rows
+        s = block[1 : n - 2]        # row t-1 holds the sum of the first t rows
         total = block[-1]
-        s1_sq += np.einsum("ij,ij->i", s1, s1)
-        s1_total += np.einsum("ij,j->i", s1, total)
-        total_sq += float(np.einsum("j,j->", total, total))
+        s1_sq += np.einsum("ij,ij->i", s, s)
+        s1_total += np.einsum("ij,j->i", s, total)
+        # s2 in place of s1.  total - s1 carries only the cumsum's rounding
+        # past row t-1, on centered partial sums of about the suffix's size,
+        # so a short suffix keeps its digits.
+        np.subtract(total, s, out=s)
+        s2_sq += np.einsum("ij,ij->i", s, s)
 
-    sq_norms = np.cumsum(q)
-    q1 = sq_norms[1 : n - 2]
-    # |s2|^2 and s1 . s2 expanded: safe, since the centered total is at
-    # rounding level.
+    # The within sums drop each side's |x_i|^2, summed from its own end.
+    q1 = np.cumsum(q)[1 : n - 2]
+    q2 = np.cumsum(q[::-1])[::-1][2 : n - 1]
     return _mean_result(
-        _mean_values(
-            s1_sq - q1,
-            total_sq - 2.0 * s1_total + s1_sq - (sq_norms[-1] - q1),
-            s1_total - s1_sq,
-            _side_sizes(2, n - 3, n),
-        ),
+        _mean_values(s1_sq - q1, s2_sq - q2, s1_total - s1_sq, _side_sizes(2, n - 3, n)),
         n,
     )
 

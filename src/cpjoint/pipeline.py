@@ -245,9 +245,11 @@ def _strictly_inside(value, lo: float, hi: float) -> bool:
         return False
 
 
-def _check_alpha(alpha: float) -> None:
+def _check_alpha(alpha: float) -> float:
+    """alpha as a Python float, so that the reports hold no numpy scalars."""
     if not _strictly_inside(alpha, 0.0, 1.0):
         raise AlphaRangeError(f"alpha={alpha!r} is not a number strictly inside (0, 1)")
+    return float(alpha)
 
 
 def detect(data, alpha: float = 0.05, calibration: str = "plug_in") -> TestOutcome:
@@ -260,7 +262,7 @@ def detect(data, alpha: float = 0.05, calibration: str = "plug_in") -> TestOutco
     takes the mean side's p-value from the skew-matched chi-squared tail
     instead of the normal one (see the module docstring).
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     _check_calibration(calibration)
     entry = _entry(data)
     return _outcome(entry.dataset, entry.statistics, calibration, alpha)
@@ -294,27 +296,31 @@ def _search_grid(n: int, lam: float) -> _Grid:
 class _Profiles(NamedTuple):
     lam: float
     grid: _Grid
-    taus: np.ndarray
     mean_term: np.ndarray   # -2 log p of the standardized mean curve
     cov_term: np.ndarray
     fused: np.ndarray
 
 
 def _profiles(stats: _Statistics, lam: float) -> _Profiles:
-    n = len(stats.mean_result.per_tau) + 3     # the mean curve covers 2 .. n-2
-    grid = _search_grid(n, lam)
-    taus = np.arange(grid.lo, grid.hi + 1)
-    weight = taus.astype(np.float64) * (n - taus) / n
+    """Both standardized curves' -2 log p and their sum over the search grid.
+
+    The curves are read through slices: the mean curve covers the splits
+    2 .. n-2, the covariance curve 4 .. n-4.
+    """
+    n = stats.mean_result.per_tau.tau_max + 2
+    lo, hi = grid = _search_grid(n, lam)
+    m1 = np.arange(lo, hi + 1, dtype=np.float64)
+    weight = m1 * (n - m1) / n
     scale = stats.calibration.trace_hat
-    mean_std = weight * stats.mean_result.per_tau.values[taus - 2] / math.sqrt(2.0 * scale)
-    cov_std = weight * stats.cov_result.per_tau.values[taus - 4] / (2.0 * scale)
+    mean_std = weight * stats.mean_result.per_tau.values[lo - 2 : hi - 1] / math.sqrt(2.0 * scale)
+    cov_std = weight * stats.cov_result.per_tau.values[lo - 4 : hi - 3] / (2.0 * scale)
     mean_term, cov_term = -2.0 * normal_log_sf(np.stack([mean_std, cov_std]))
-    return _Profiles(lam, grid, taus, mean_term, cov_term, mean_term + cov_term)
+    return _Profiles(lam, grid, mean_term, cov_term, mean_term + cov_term)
 
 
-def _argmax_tau(taus: np.ndarray, values: np.ndarray) -> int:
+def _argmax_tau(grid: _Grid, values: np.ndarray) -> int:
     # np.argmax returns the first maximizer, i.e. the smallest split.
-    return int(taus[int(np.argmax(values))])
+    return grid.lo + int(np.argmax(values))
 
 
 def _pick_min_p(log_p_mean: float, log_p_cov: float, tau_mean: int, tau_cov: int) -> int:
@@ -332,7 +338,7 @@ def localize(data, lam: float = 0.2) -> LocalizationOutcome:
     _check_lam(lam)
     prof = _public_profiles(_entry(data), lam)
     return LocalizationOutcome(
-        tau_hat=_argmax_tau(prof.taus, prof.fused),
+        tau_hat=_argmax_tau(prof.grid, prof.fused),
         lam=lam,
         grid_lo=prof.grid.lo,
         grid_hi=prof.grid.hi,
@@ -343,10 +349,10 @@ def localize(data, lam: float = 0.2) -> LocalizationOutcome:
 def _decide(a: TestOutcome, prof: _Profiles) -> list[BaselineOutcome]:
     """The four decision rules of :func:`baselines`, in the order of :class:`Method`."""
     log_alpha = math.log(a.alpha)
-    tau_mean = _argmax_tau(prof.taus, prof.mean_term)
-    tau_cov = _argmax_tau(prof.taus, prof.cov_term)
+    tau_mean = _argmax_tau(prof.grid, prof.mean_term)
+    tau_cov = _argmax_tau(prof.grid, prof.cov_term)
     return [
-        BaselineOutcome(Method.FISHER, a.reject, _argmax_tau(prof.taus, prof.fused)),
+        BaselineOutcome(Method.FISHER, a.reject, _argmax_tau(prof.grid, prof.fused)),
         BaselineOutcome(
             Method.BONFERRONI,
             min(a.log_p_mean, a.log_p_cov) <= log_alpha - math.log(2.0),
@@ -368,7 +374,7 @@ def baselines(
     minimal-p rule, taking the mean-based estimate on ties.
     ``calibration`` is as in :func:`detect`.
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     _check_lam(lam)
     _check_calibration(calibration)
     entry = _entry(data)

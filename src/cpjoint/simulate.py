@@ -310,7 +310,7 @@ def run_experiment(
     parallelism = _as_int(parallelism, "parallelism")
     if reps < 1:
         raise BadParamError(f"reps={reps} must be at least 1")
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     _check_lam(lam)
     if parallelism < 1:
         raise BadParamError(f"parallelism={parallelism} must be at least 1")

@@ -31,6 +31,11 @@ BELOW_ONE = math.nextafter(1.0, 0.0)
 # continued fraction instead, before the value loses precision to underflow.
 _GAMMA_TAIL_SWITCH = 1e-300
 _CF_FLOOR = 1e-300
+# Below this skew the normal tail is taken: the gamma threshold
+# a + sqrt(a) z, a = 4 / skew^2, resolves z only to about 4e-16 / skew,
+# which outgrows the skew's own effect on the tail near 5e-8, and a
+# overflows from about 1e-154 on.
+_SKEW_FLOOR = 1e-8
 
 _SQRT1_2 = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -147,16 +152,17 @@ def skewed_log_sf(z, skew: float):
     quadratic form (Imhof 1961; Zhang 2005): nu = 8 / skew^2 degrees of
     freedom and P(Z >= z) = P(chi2_nu >= nu + z sqrt(2 nu)).  The raw
     Cornish-Fisher polynomial is not used because it turns over near
-    z = 3 / skew.  For skew <= 0 the result is ``normal_log_sf(z)``; as
-    skew -> 0 it tends to it.  Non-increasing in z and finite for every
-    finite z: where the chi-squared tail underflows, its logarithm comes
-    from a continued fraction evaluated in log space.  Accepts scalars or
-    arrays for z.
+    z = 3 / skew.  For skew below 1e-8, zero and negative skew included,
+    the result is ``normal_log_sf(z)``, which the chi-squared tail tends
+    to as skew -> 0.  Non-increasing in z and finite for every finite z:
+    where the chi-squared tail underflows, its logarithm comes from a
+    continued fraction evaluated in log space.  Accepts scalars or arrays
+    for z.
     """
     arr = _validate_finite(z)
     if not math.isfinite(skew):
         raise NonFiniteValueError("skew must be finite")
-    if skew <= 0.0:
+    if skew < _SKEW_FLOOR:
         return normal_log_sf(arr)
     from scipy.special import gammainc, gammaincc
 

@@ -171,6 +171,8 @@ def _feature_terms(x: np.ndarray, center: np.ndarray | float = 0.0) -> _SweepTer
     for first, step, base, rows in cov_shift._feature_passes(x, center):
         if step < 0:        # columns after first, first - 1, ... rows
             first, base = first - base.shape[1] + 1, base[:, ::-1]
+        if first == 0:      # the split after no rows has no entry
+            first, base = 1, base[:, 1:]
         terms[:, first - 1 : first - 1 + base.shape[1]] = base[list(rows)]
     return _SweepTerms(*terms)
 

@@ -263,6 +263,20 @@ def test_gram_path_accuracy_against_extended_precision(shape):
     assert err <= 1e-11
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", [(200, 100), (300, 1000)], ids=["200x100", "300x1000"])
+def test_gram_path_sums_each_side_directly(shape, seed):
+    # Each column's g^2 sum below the diagonal is summed directly: as the
+    # whole column minus the upper part it lost 3e-14 to 3e-13 of the scale.
+    n = shape[0]
+    x = np.random.default_rng(seed).standard_normal(shape)
+    xl = x.astype(np.longdouble)
+    xl -= xl.mean(axis=0)
+    exact = _curve(direct_sweep_terms(xl @ xl.T), n).per_tau.values
+    err = np.abs(cov_stat_curve(x).per_tau.values - exact).max()
+    assert err <= 1e-14 * np.abs(exact).max()
+
+
 def test_large_offset_leaves_feature_path_curve_unchanged():
     x = np.random.default_rng(303).standard_normal((400, 20))
     base = cov_stat_curve(x).per_tau.values

@@ -48,6 +48,32 @@ def test_matches_naive_oracle(seed, p, block, monkeypatch):
         assert rel_err(result.per_tau.value_at(tau), expected) <= 1e-9
 
 
+def _extended_mean_curve(x):
+    """The curve from the prefix and suffix sums of the centered rows, in long double."""
+    n = len(x)
+    xl = x.astype(np.longdouble)
+    xl -= xl.mean(axis=0)
+    s = np.cumsum(xl, axis=0)
+    q = np.einsum("ij,ij->i", xl, xl)
+    s1 = s[1 : n - 2]
+    s2 = s[-1] - s1
+    within1 = np.einsum("ij,ij->i", s1, s1) - np.cumsum(q)[1 : n - 2]
+    within2 = np.einsum("ij,ij->i", s2, s2) - np.cumsum(q[::-1])[::-1][2 : n - 1]
+    cross = np.einsum("ij,ij->i", s1, s2)
+    return mean_shift._mean_values(within1, within2, cross, mean_shift._side_sizes(2, n - 3, n))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_accuracy_against_extended_precision(seed):
+    # s2 is formed as total - s1 and the suffix's squared norms are summed
+    # from the end: |s2|^2 expanded through the totals lost up to 6e-13 of
+    # the scale here.
+    x = np.random.default_rng(seed).standard_normal((2000, 50))
+    exact = _extended_mean_curve(x)
+    err = np.abs(mean_stat_curve(x).per_tau.values - exact).max()
+    assert err <= 1e-14 * np.abs(exact).max()
+
+
 def test_aggregate_is_weighted_sum():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((30, 4))

@@ -159,6 +159,14 @@ def test_detect_at_the_paper_setting_holds_one_gram_panel(monkeypatch):
     assert warm_detect_peak(x, monkeypatch) < 3.0 * x.nbytes
 
 
+def test_detect_on_one_sweep_block_holds_no_spare(monkeypatch):
+    # 128 x 60: one block of 128 columns covers g.  Beside the copy and g,
+    # O(n); the block's S^2 in a spare of a quarter of its rows took the
+    # peak to 4.51x.
+    x = np.random.default_rng(188).standard_normal((128, 60))
+    assert warm_detect_peak(x, monkeypatch) < 4.2 * x.nbytes
+
+
 def test_detect_at_1000x500_holds_the_data_and_one_panel(monkeypatch):
     # Two 1000 x 500 panels, formed one at a time in one buffer: the copy
     # (4 MB), one panel (4 MB) and O(n).  The whole Gram matrix (8 MB)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import json
 import math
 import re
 import sys
@@ -118,6 +119,18 @@ class TestDetect:
     def test_non_numeric_alpha_named(self, alpha):
         with pytest.raises(AlphaRangeError, match=re.escape(f"alpha={alpha!r}")):
             detect(_null_data(), alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [np.float64(0.05), np.float32(0.05)],
+                             ids=["float64", "float32"])
+    def test_numpy_alpha_gives_python_scalars(self, alpha):
+        x = _shifted_data(mean_shift=4.0, cov_scale=3.0)
+        out = detect(x, alpha=alpha)
+        assert type(out.reject) is bool and type(out.alpha) is float
+        assert out.alpha == float(alpha)
+        json.dumps(dataclasses.asdict(out))
+        rows = baselines(x, alpha=alpha)
+        assert all(type(row.reject) is bool for row in rows)
+        json.dumps([dataclasses.asdict(row) for row in rows])
 
     @pytest.mark.parametrize("lam", ["0.2", None])
     def test_non_numeric_lam_named(self, lam):

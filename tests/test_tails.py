@@ -235,6 +235,14 @@ class TestSkewedLogSf:
             assert gap <= 25.0 * skew
         assert gaps == sorted(gaps, reverse=True)
 
+    # Where a + sqrt(a) z cannot resolve z, or a = 4 / skew^2 overflows.
+    @pytest.mark.parametrize("skew", [1e-9, 1e-12, 1e-15, 1e-100, 1e-160, 1e-200, 5e-324])
+    @pytest.mark.parametrize("z", [-5.0, 0.0, 3.0, 37.0])
+    def test_tiny_positive_skew_is_normal(self, skew, z):
+        value = skewed_log_sf(z, skew)
+        assert math.isfinite(value)
+        assert value == pytest.approx(normal_log_sf(z), rel=1e-6)
+
     @pytest.mark.parametrize("skew", [0.05, 0.29, 2.0])
     @pytest.mark.parametrize("z", [-1.0, 0.0, 1.96, 5.0, 40.0, 1000.0])
     def test_matches_chi2_oracle(self, skew, z):

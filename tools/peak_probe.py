@@ -24,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cpjoint import detect, pipeline  # noqa: E402
 
-SHAPES = ((200, 100), (1000, 500), (2000, 600), (2000, 50), (100_000, 20))
+SHAPES = ((200, 100), (128, 60), (1000, 500), (2000, 600), (2000, 50), (100_000, 20))
 
 
 def fresh_detect_peak(x: np.ndarray) -> int:
