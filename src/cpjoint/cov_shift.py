@@ -7,8 +7,12 @@ the post-split segment, and once across.  Its expectation is the squared
 Frobenius distance between the two segment covariance matrices.
 
 Evaluated literally the kernel sums are quartic in n.  Expanding them into
-sums of Gram entries g_ij and their squares turns every piece into one of
-thirteen running index-tuple sums, which two paths compute:
+sums of Gram entries g_ij and their squares turns every piece into fixed
+algebra over ten running sums: the six sums of g_ij and g_ij^2 within the
+prefix, within the suffix and across the split, and four sums of squared
+partial column sums (:class:`_SweepTerms`).  Two paths compute the ten;
+:func:`_split_values` forms the three- and four-index sums from them where
+it divides them:
 
 - the Gram path (:func:`_sweep`, n < 4p) sweeps the n x n Gram matrix
   in blocks of b columns: O(n^2) on top of the O(n^2 p) Gram build.
@@ -16,7 +20,7 @@ thirteen running index-tuple sums, which two paths compute:
   at most max(p, b) columns, at a time, and the sweep turns each block
   in place into its column prefix sums and then its suffix sums.  So it
   holds one panel of at most n max(p, b) entries and O(n), and the whole
-  matrix only where one panel covers it: a traced peak of 0.38 MB for
+  matrix only where one panel covers it: a traced peak of 0.37 MB for
   ``detect`` at n = 200, p = 100, whose data take 0.16 MB and g would
   take 0.32 MB.  Where p < n the panels cost up to twice the flops of
   one symmetric product;
@@ -104,34 +108,29 @@ class _SweepTerms(NamedTuple):
     """Raw index-tuple sums for prefixes of size t+1, t = 0 .. n-1.
 
     pre1/pre2: sums of g_ij / g_ij^2 over distinct i, j in the prefix;
-    suf1/suf2: the same over the suffix; pre3/suf3: sums of g_ij * g_jk
-    over three distinct indices; pre4/suf4: sums of g_ij * g_kl over four
-    distinct indices; cross1/cross2: plain sums of g_ij / g_ij^2 with i in
-    the prefix and j in the suffix; cross3_mid_suf: three-index sums whose
-    shared index j sits in the suffix (i, k distinct in the prefix);
-    cross3_mid_pre: the mirror image; cross4: i != k in the prefix, j != l
-    in the suffix.  The kernels keep the sums as rows of one array, and a
-    _SweepTerms of row numbers names them there.
+    suf1/suf2: the same over the suffix; cross1/cross2: plain sums of
+    g_ij / g_ij^2 with i in the prefix and j in the suffix.  With C_j the
+    sum of g_ij over i != j in the prefix and S_j the same over the
+    suffix: pre_cc and cross_cc sum C_j^2 over j in the prefix and over j
+    in the suffix, cross_ss and suf_ss sum S_j^2 likewise.  The kernels
+    keep the sums as rows of one array, and a _SweepTerms of row numbers
+    names them there.
     """
 
     pre1: np.ndarray
     pre2: np.ndarray
-    pre3: np.ndarray
-    pre4: np.ndarray
     suf1: np.ndarray
     suf2: np.ndarray
-    suf3: np.ndarray
-    suf4: np.ndarray
     cross1: np.ndarray
     cross2: np.ndarray
-    cross3_mid_suf: np.ndarray
-    cross3_mid_pre: np.ndarray
-    cross4: np.ndarray
+    pre_cc: np.ndarray
+    cross_cc: np.ndarray
+    cross_ss: np.ndarray
+    suf_ss: np.ndarray
 
     def mirrored(self) -> _SweepTerms:
         """The same sums for the reversed row order: prefix and suffix trade places."""
-        return _SweepTerms(*self[4:8], *self[:4], self.cross1, self.cross2,
-                           self.cross3_mid_pre, self.cross3_mid_suf, self.cross4)
+        return _SweepTerms(*self[2:4], *self[:2], *self[4:6], *self[:5:-1])
 
 
 #: The sums' rows in an array that holds them in the order of _SweepTerms.
@@ -197,9 +196,9 @@ def _panel_blocks(n: int, span: int) -> list[list[tuple[int, int]]]:
 
 @_small_buffers()
 def _sweep(n: int, panels) -> np.ndarray:
-    """The thirteen sums from column panels of the Gram matrix g, swept in blocks of columns.
+    """The ten sums from column panels of the Gram matrix g, swept in blocks of columns.
 
-    Returns them as the rows of one 13 x n array, in the order of
+    Returns them as the rows of one 10 x n array, in the order of
     :class:`_SweepTerms`.
 
     ``panels`` yields (blocks, cols) in the order of :func:`_panel_blocks`:
@@ -212,20 +211,22 @@ def _sweep(n: int, panels) -> np.ndarray:
     the columns from its own end, so that a short prefix or suffix never
     comes out as a difference of long ones.  With C[t, j] the sum of
     g[i, j] over i <= t, i != j and S[t, j] the sum over i > t, i != j, the
-    three-index sums need per row t the sums of C^2 and S^2 over j <= t
-    and over j > t.  One block of about _BLOCK columns at a time gives its
-    edge sums from the raw columns, then becomes C in place, by one
-    cumsum, and S = C[-1] - C in turn: O(n^2) time and O(n) memory beside
-    the panel.
+    last four sums are per row t the sums of C^2 and S^2 over j <= t and
+    over j > t, added up in place in their rows of the result.  One block
+    of about _BLOCK columns at a time gives its edge sums from the raw
+    columns, then becomes C in place, by one cumsum, and S = C[-1] - C in
+    turn: O(n^2) time and O(n) memory beside the panel.
     """
     # edge[side, power, t]: sums of g[i, t]^power over i < t (side 0) and
     # over i > t (side 1).  rows[side, half, t]: sums of C[t, j]^2 (side 0)
-    # and S[t, j]^2 (side 1) over j <= t (half 0) and over j > t (half 1).
+    # and S[t, j]^2 (side 1) over j <= t (half 0) and over j > t (half 1),
+    # which are pre_cc, cross_cc, cross_ss and suf_ss.
     edge = np.empty((2, 2, n))
-    rows = np.zeros((2, 2, n))
     n_blocks = -(-n // _BLOCK)
     masks = _block_masks(-(-n // n_blocks))     # for the widest block
     out = np.empty((len(_SweepTerms._fields), n))
+    rows = out[6:].reshape(2, 2, n)
+    rows[...] = 0.0
     for blocks, cols in panels:
         for lo, hi in blocks:
             # Columns j = lo .. hi-1.  Rows above the block have only j > t,
@@ -256,41 +257,14 @@ def _sweep(n: int, panels) -> np.ndarray:
 
     head = np.cumsum(edge, axis=2)      # over the columns 0 .. t
     tail = _tail_sums(edge)             # over the columns t+1 .. n-1
-    t = _SweepTerms(*out)
     np.multiply(head[0], 2.0, out=out[0:2])     # pre1, pre2
-    np.multiply(tail[1], 2.0, out=out[4:6])     # suf1, suf2
+    np.multiply(tail[1], 2.0, out=out[2:4])     # suf1, suf2
     # Each row's partners after it, minus its partners before it, summed over
     # the prefix; or the mirror image over the suffix, whichever is shorter.
     h = n // 2
-    np.subtract(head[1, :, :h], head[0, :, :h], out=out[8:10, :h])     # cross1, cross2
-    np.subtract(tail[0, :, h:], tail[1, :, h:], out=out[8:10, h:])
-    # Three distinct indices sharing the middle one j: the partners i, k of
-    # each j contribute C^2 or S^2 minus the i == k terms, which sum to
-    # pre2 or cross2 (partners in the prefix) and cross2 or suf2 (suffix).
-    (c_low, c_up), (s_low, s_up) = rows
-    np.subtract(c_low, t.pre2, out=t.pre3)
-    np.subtract(s_up, t.suf2, out=t.suf3)
-    np.subtract(c_up, t.cross2, out=t.cross3_mid_suf)
-    np.subtract(s_low, t.cross2, out=t.cross3_mid_pre)
-    _complete(t)
+    np.subtract(head[1, :, :h], head[0, :, :h], out=out[4:6, :h])     # cross1, cross2
+    np.subtract(tail[0, :, h:], tail[1, :, h:], out=out[4:6, h:])
     return out
-
-
-def _complete(t: _SweepTerms) -> _SweepTerms:
-    """Fill in the four-index sums, which follow from the two- and three-index ones.
-
-    Each is written into its own row of t, in place; the others are read.
-    """
-    # Subtract every coincidence pattern from the square of the two-index sum.
-    for out, s1, s2, s3 in ((t.pre4, t.pre1, t.pre2, t.pre3), (t.suf4, t.suf1, t.suf2, t.suf3)):
-        np.square(s1, out=out)
-        out -= 2.0 * s2
-        out -= 4.0 * s3
-    cross4 = np.square(t.cross1, out=t.cross4)
-    cross4 -= t.cross3_mid_suf
-    cross4 -= t.cross3_mid_pre
-    cross4 -= t.cross2
-    return t
 
 
 class _Totals(NamedTuple):
@@ -335,22 +309,23 @@ def _chunk_rows(m: int) -> int:
 
 
 # The rows of a chunk of :func:`_side_sums`: the row-wise sums, x_t's, s_t's
-# and r_t's four rows apart, and the thirteen sums made of them in place.
+# and r_t's four rows apart, and the ten sums made of them in place.
 (_Q, _X_TOT, _X_QUAD, _QQ, _SS, _S_TOT, _S_QUAD, _SR,
  _RR, _R_TOT, _REST_QUAD, _R_U, _U_S, _U_R, _SUF_FROB, _SUF_Q2) = range(16)
-_SIDE_ROWS = _SweepTerms(_SS, _X_QUAD, _S_QUAD, _Q, _RR, _SUF_FROB, _R_TOT, _U_S,
-                         _SR, _X_TOT, _S_TOT, _REST_QUAD, _U_R)
+_SIDE_ROWS = _SweepTerms(_SS, _X_QUAD, _RR, _SUF_FROB, _SR, _X_TOT,
+                         _S_QUAD, _S_TOT, _REST_QUAD, _R_TOT)
 
 
 def _side_sums(x: np.ndarray, tot: _Totals):
-    """The thirteen sums for the splits after each of the first k rows of x, one chunk at a time.
+    """The ten sums for the splits after each of the first k rows of x, one chunk at a time.
 
     Entry k puts rows 0 .. t = k-1 of x in the prefix and every other row
     of the data in the suffix; the rows are taken less ``tot.center``, and
     entry 0 is the split after no rows.  The prefix sums are polynomials in
     its moments s_t, A_t, u_t and ||A_t||_F^2, e.g. pre2 = ||A_t||_F^2 -
-    sum q_i^2; the suffix sums are the totals minus the prefix's, with
-    r_t = s_n - s_t for the suffix's row sum.
+    sum q_i^2 and pre_cc = s_t' A_t s_t - 2 u_t . s_t + sum q_i^2; the
+    suffix sums are the totals minus the prefix's, with r_t = s_n - s_t
+    for the suffix's row sum.
 
     Yields (k, acc) per chunk of :func:`_chunk_rows` rows, with column j of
     acc at entry k + j for the entries of the chunk's rows; the first chunk
@@ -441,34 +416,26 @@ def _side_sums(x: np.ndarray, tot: _Totals):
         pre1 -= q1
         suf1 = rr
         suf1 -= np.subtract(tot.q1, q1, out=q1)
-        cross3_mid_suf = s_tot
-        cross3_mid_suf -= s_quad
-        cross3_mid_suf -= cross2
-        pre3 = s_quad
-        pre3 -= 2.0 * u_s
-        pre3 -= frob
-        pre3 += 2.0 * q2
+        cross_cc = s_tot
+        cross_cc -= s_quad
+        pre_cc = s_quad
+        pre_cc -= 2.0 * u_s
+        pre_cc += q2
         pre2 = frob
         pre2 -= q2
-        suf3 = r_tot
-        suf3 -= rest_quad
+        # cross_ss is rest_quad as it stands.
+        suf_ss = r_tot
+        suf_ss -= rest_quad
         r_u -= u_r
-        suf3 -= 2.0 * r_u
-        suf3 -= suf_frob
-        suf3 += 2.0 * suf_q2
-        cross3_mid_pre = rest_quad
-        cross3_mid_pre -= cross2
+        suf_ss -= 2.0 * r_u
+        suf_ss += suf_q2
         suf2 = suf_frob
         suf2 -= suf_q2
-        # The rows of q, u_s and u_r, read for the last time above, take the
-        # four-index sums.
-        _complete(_SweepTerms(pre1, pre2, pre3, q, suf1, suf2, suf3, u_s,
-                              sr, cross2, cross3_mid_suf, cross3_mid_pre, u_r))
         yield k, acc
 
 
 def _feature_passes(x: np.ndarray, center: np.ndarray | float):
-    """The thirteen sums of the feature path's two passes, one chunk at a time.
+    """The ten sums of the feature path's two passes, one chunk at a time.
 
     Yields (first, step, base, rows): column j of base is the split after
     first + step * j rows, and ``rows`` names the row of base that holds
@@ -494,18 +461,28 @@ def _split_values(base: np.ndarray, rows: _SweepTerms, m: np.ndarray) -> np.ndar
     """The curve at a range of splits, from the sums there and the sizes of the two sides.
 
     Column j of base and of m = [m1, m2] (:func:`_side_sizes`) is one
-    split, and ``rows`` names the row of base that holds each sum.  Runs
-    in place: it overwrites every sum but pre1, suf1 and cross1, and holds
-    about six more rows of their length.
+    split, and ``rows`` names the row of base that holds each sum.  The
+    three- and four-index sums are formed here, each where it is divided.
+    Runs in place: it overwrites every sum but pre1, suf1 and cross1, and
+    holds about eight more rows of their length.
     """
     t = _SweepTerms(*(base[i] for i in rows))
     m1, m2 = m
     perm2_pre = m1 * (m1 - 1.0)
     perm2_suf = m2 * (m2 - 1.0)
-    for (s2, s3, s4), mm, perm2 in (
-        (t[1:4], m1, perm2_pre),
-        (t[5:8], m2, perm2_suf),
+    four = np.empty_like(t.cross1)      # each four-index sum in turn
+    for s1, s2, s3, mm, perm2 in (
+        (t.pre1, t.pre2, t.pre_cc, m1, perm2_pre),
+        (t.suf1, t.suf2, t.suf_ss, m2, perm2_suf),
     ):
+        # Three distinct indices sharing the middle one j, the partners i, k
+        # of each j on the same side: C_j^2 or S_j^2 less the i == k terms.
+        s3 -= s2
+        # Four distinct indices: the square of the two-index sum less every
+        # coincidence pattern.
+        s4 = np.square(s1, out=four)
+        s4 -= 2.0 * s2
+        s4 -= 4.0 * s3
         # s2 / perm2 - 2 s3 / perm3 + s4 / perm4, into s2.
         s2 /= perm2
         perm = perm2 * (mm - 2.0)
@@ -515,11 +492,20 @@ def _split_values(base: np.ndarray, rows: _SweepTerms, m: np.ndarray) -> np.ndar
         perm *= mm - 3.0
         s4 /= perm
         s2 += s4
+    # Across the split, the shared index j in the suffix (mid_suf) or in the
+    # prefix (mid_pre), and i != k in the prefix, j != l in the suffix.
+    mid_suf, mid_pre = t.cross_cc, t.cross_ss
+    mid_suf -= t.cross2
+    mid_pre -= t.cross2
+    cross4 = np.square(t.cross1, out=four)
+    cross4 -= mid_suf
+    cross4 -= mid_pre
+    cross4 -= t.cross2
     across = t.cross2
     across /= m1 * m2
-    across -= np.divide(t.cross3_mid_suf, perm2_pre * m2, out=t.cross3_mid_suf)
-    across -= np.divide(t.cross3_mid_pre, m1 * perm2_suf, out=t.cross3_mid_pre)
-    across += np.divide(t.cross4, perm2_pre * perm2_suf, out=t.cross4)
+    across -= np.divide(mid_suf, perm2_pre * m2, out=mid_suf)
+    across -= np.divide(mid_pre, m1 * perm2_suf, out=mid_pre)
+    across += np.divide(cross4, perm2_pre * perm2_suf, out=cross4)
     across *= 2.0
     out = np.add(t.pre2, t.suf2)
     out -= across

@@ -25,7 +25,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .data import Dataset
-from .errors import BadParamError, NotPSDError, NotSymmetricError
+from .errors import BadParamError, NonFiniteValueError, NotPSDError, NotSymmetricError
 from .pipeline import (
     Method,
     _check_alpha,
@@ -147,6 +147,7 @@ def build_cov(spec: CovSpec, p: int) -> np.ndarray:
     inside each consecutive block of five; columns past the last complete
     block stay uncorrelated.  The whole matrix is multiplied by ``scale``.
     """
+    p = _as_int(p, "p")
     if p < 1:
         raise BadParamError(f"p={p} must be at least 1")
     if spec.scenario is CovScenario.AR1:
@@ -172,6 +173,8 @@ def cov_sqrt(sigma, method: str = "spectral") -> np.ndarray:
     s = np.asarray(sigma, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise NonFiniteValueError("matrix has NaN or infinite entries")
     if not np.allclose(s, s.T, rtol=1e-12, atol=1e-12):
         raise NotSymmetricError("matrix is not symmetric")
     if method == "cholesky":

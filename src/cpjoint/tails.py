@@ -44,6 +44,9 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SERIES_FROM = 37.0
 # (-1)^k (2k - 1)!! for k = 6 down to 1.
 _MILLS_SERIES = (10395.0, -945.0, 105.0, -15.0, 3.0, -1.0)
+# Elements per block of _erfc: a block's list of Python floats takes about
+# 130 KB.
+_ERFC_BLOCK = 4096
 
 
 def clamp_prob(p: float) -> float:
@@ -59,9 +62,18 @@ def _validate_finite(x) -> np.ndarray:
 
 
 def _erfc(v: np.ndarray) -> np.ndarray:
-    """``math.erfc`` of every element of a float64 array (numpy has no erfc)."""
+    """``math.erfc`` of every element of a float64 array (numpy has no erfc).
+
+    The elements go through Python floats _ERFC_BLOCK at a time, so that
+    beside the input and the result it holds one block's list, not a list
+    of the whole input.
+    """
     v = np.asarray(v)
-    out = np.fromiter(map(math.erfc, v.ravel().tolist()), np.float64, v.size)
+    flat = v.ravel()
+    out = np.empty(v.size)
+    for lo in range(0, v.size, _ERFC_BLOCK):
+        block = flat[lo : lo + _ERFC_BLOCK].tolist()
+        out[lo : lo + len(block)] = np.fromiter(map(math.erfc, block), np.float64, len(block))
     return out.reshape(v.shape)
 
 
@@ -92,10 +104,14 @@ def normal_log_sf(x):
 
 def _log_sf_erfc(x: np.ndarray) -> np.ndarray:
     """log(1 - Phi(x)) for x < 37 from ``math.erfc``."""
-    q = 0.5 * _erfc(np.abs(x) * _SQRT1_2)      # the tail beyond |x|
+    q = np.abs(x)
+    q *= _SQRT1_2
+    q = _erfc(q)
+    q *= 0.5                                    # the tail beyond |x|
     below = x < 0.0
-    out = np.log1p(-q, out=np.empty_like(q), where=below)
-    return np.log(q, out=out, where=~below)
+    np.log(q, out=q, where=~below)
+    np.negative(q, out=q, where=below)
+    return np.log1p(q, out=q, where=below)
 
 
 def _log_sf_series(x: np.ndarray) -> np.ndarray:

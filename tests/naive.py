@@ -9,9 +9,11 @@ the CSV reader that builds one Python float per cell.
 
 ``_sweep_terms``, ``_feature_terms`` and ``_curve`` are not oracles: they
 are thin wrappers that run the package's covariance kernels on a whole
-Gram matrix or return all thirteen sums at once, forms the package never
+Gram matrix or return all ten sums at once, forms the package never
 needs but the tests check against brute force.  ``direct_sweep_terms``
-is their extended-precision reference.
+is their extended-precision reference.  The three- and four-index sums
+that the curve derives from the ten are checked through the curve, against
+``naive_cov_stat``.
 
 The p-value forms of the tails (``normal_sf``, ``fisher_combine`` and
 ``chi2_4_quantile``) are oracles for the log-space functions the package
@@ -152,7 +154,7 @@ def centered_gram(x: np.ndarray) -> np.ndarray:
 
 
 def _sweep_terms(g: np.ndarray) -> _SweepTerms:
-    """The thirteen sums from a whole float64 Gram matrix, by the package's blocked sweep.
+    """The ten sums from a whole float64 Gram matrix, by the package's blocked sweep.
 
     The sweep consumes g: on return it holds no Gram entries.
     """
@@ -162,7 +164,7 @@ def _sweep_terms(g: np.ndarray) -> _SweepTerms:
 
 
 def _feature_terms(x: np.ndarray, center: np.ndarray | float = 0.0) -> _SweepTerms:
-    """The thirteen sums of the rows x_i - center at t = 0 .. n-1, by the package's feature passes.
+    """The ten sums of the rows x_i - center at t = 0 .. n-1, by the package's feature passes.
 
     Entry t is the split after t + 1 rows.  Each chunk's sums are copied
     out before the package overwrites them with the next chunk's.
@@ -189,7 +191,7 @@ def _curve(terms: _SweepTerms, n: int) -> CovStatResult:
 
 
 def direct_sweep_terms(g: np.ndarray) -> _SweepTerms:
-    """The thirteen sums of :func:`_sweep_terms`, summed directly in g's own dtype.
+    """The ten sums of :func:`_sweep_terms`, summed directly in g's own dtype.
 
     An oracle for the float64 kernels when g is in extended precision
     (``np.longdouble``).  With C[t, j] the sum of g_ij over i <= t and
@@ -213,20 +215,16 @@ def direct_sweep_terms(g: np.ndarray) -> _SweepTerms:
         add_row(t)
         pre, suf = run[: t + 1], run[t + 1 :]
         terms.pre1[t], terms.pre2[t] = pre.sum(), run2[: t + 1].sum()
-        terms.pre3[t] = (pre * pre).sum() - terms.pre2[t]
+        terms.pre_cc[t] = (pre * pre).sum()
         terms.cross1[t], terms.cross2[t] = suf.sum(), run2[t + 1 :].sum()
-        terms.cross3_mid_suf[t] = (suf * suf).sum() - terms.cross2[t]
+        terms.cross_cc[t] = (suf * suf).sum()
     run[:] = run2[:] = 0.0
     for t in range(n - 1, -1, -1):
         pre, suf = run[: t + 1], run[t + 1 :]
         terms.suf1[t], terms.suf2[t] = suf.sum(), run2[t + 1 :].sum()
-        terms.suf3[t] = (suf * suf).sum() - terms.suf2[t]
-        terms.cross3_mid_pre[t] = (pre * pre).sum() - terms.cross2[t]
+        terms.suf_ss[t] = (suf * suf).sum()
+        terms.cross_ss[t] = (pre * pre).sum()
         add_row(t)
-    # Four distinct indices: the square of the two-index sum less every coincidence.
-    terms.pre4[:] = terms.pre1 ** 2 - 2.0 * terms.pre2 - 4.0 * terms.pre3
-    terms.suf4[:] = terms.suf1 ** 2 - 2.0 * terms.suf2 - 4.0 * terms.suf3
-    terms.cross4[:] = terms.cross1 ** 2 - terms.cross3_mid_suf - terms.cross3_mid_pre - terms.cross2
     return terms
 
 

@@ -30,33 +30,19 @@ def brute_force_terms(g, tau):
     n = g.shape[0]
     pre = range(tau)
     suf = range(tau, n)
-    distinct = lambda *ix: len(set(ix)) == len(ix)
     out = {}
     out["pre1"] = sum(g[i, j] for i, j in itertools.permutations(pre, 2))
     out["pre2"] = sum(g[i, j] ** 2 for i, j in itertools.permutations(pre, 2))
-    out["pre3"] = sum(g[i, j] * g[j, k] for i, j, k in itertools.permutations(pre, 3))
-    out["pre4"] = sum(
-        g[i, j] * g[k, l] for i, j, k, l in itertools.permutations(pre, 4)
-    )
     out["suf1"] = sum(g[i, j] for i, j in itertools.permutations(suf, 2))
     out["suf2"] = sum(g[i, j] ** 2 for i, j in itertools.permutations(suf, 2))
-    out["suf3"] = sum(g[i, j] * g[j, k] for i, j, k in itertools.permutations(suf, 3))
-    out["suf4"] = sum(
-        g[i, j] * g[k, l] for i, j, k, l in itertools.permutations(suf, 4)
-    )
     out["cross1"] = sum(g[i, j] for i in pre for j in suf)
     out["cross2"] = sum(g[i, j] ** 2 for i in pre for j in suf)
-    out["cross3_mid_suf"] = sum(
-        g[i, j] * g[j, k] for i in pre for k in pre for j in suf if i != k
-    )
-    out["cross3_mid_pre"] = sum(
-        g[i, j] * g[j, k] for i in suf for k in suf for j in pre if i != k
-    )
-    out["cross4"] = sum(
-        g[i, j] * g[k, l]
-        for i in pre for k in pre for j in suf for l in suf
-        if i != k and j != l
-    )
+    # Squared partial column sums: C_j over the prefix, S_j over the suffix.
+    col = lambda j, side: sum(g[i, j] for i in side if i != j)
+    out["pre_cc"] = sum(col(j, pre) ** 2 for j in pre)
+    out["cross_cc"] = sum(col(j, pre) ** 2 for j in suf)
+    out["cross_ss"] = sum(col(j, suf) ** 2 for j in pre)
+    out["suf_ss"] = sum(col(j, suf) ** 2 for j in suf)
     return out
 
 

@@ -15,6 +15,7 @@ from cpjoint import (
     gen_dataset,
     gram,
     mean_stat_curve,
+    normal_log_sf,
     pipeline,
     trace_sigma2_hat,
     trace_sigma3_hat,
@@ -79,8 +80,8 @@ def test_detect_on_a_long_series_holds_about_two_copies(monkeypatch):
 
 
 def test_feature_terms_form_no_n_by_p_temporary():
-    # n >= 4p: the feature path.  Its thirteen O(n) sums are 0.13 x.nbytes
-    # here; a centered copy or any n x p array would be 1x.
+    # n >= 4p: the feature path.  Its ten O(n) sums are 0.1 x.nbytes here;
+    # a centered copy or any n x p array would be 1x.
     x = np.random.default_rng(4).standard_normal((8000, 100))
     assert traced_peak(_feature_terms, x, x.mean(axis=0)) < 0.5 * x.nbytes
 
@@ -234,6 +235,13 @@ def wide_csv(tmp_path_factory):
     np.savetxt(path, np.random.default_rng(3).standard_normal((200, 2000)),
                fmt="%.17g", delimiter=",")
     return str(path)
+
+
+def test_normal_log_sf_holds_no_list_of_its_input():
+    # math.erfc runs on Python floats: one list of the whole input took the
+    # peak to 6.1x the input.
+    z = np.random.default_rng(10).standard_normal((2, 100_000))
+    assert traced_peak(normal_log_sf, z) < 3.5 * z.nbytes
 
 
 def test_csv_reader_holds_little_beside_the_result(wide_csv):

@@ -1,4 +1,4 @@
-"""tools/peak_probe.py: the traced peak of a fresh detect, with no analysis kept after it."""
+"""tools/peak_probe.py: the traced peaks of a fresh detect and of localize after it, with no analysis kept."""
 
 import importlib.util
 from pathlib import Path
@@ -18,4 +18,12 @@ def test_fresh_detect_peak_holds_the_copy_and_keeps_nothing():
     peak = peak_probe.fresh_detect_peak(x)
     # detect stores a copy of the data, so the peak is at least the data.
     assert peak >= x.nbytes
+    assert pipeline._last_seen is None
+
+
+def test_localize_peak_is_the_profile_step_and_keeps_nothing():
+    x = np.random.default_rng(0).standard_normal((400, 20))
+    peak = peak_probe.localize_peak(x)
+    # localize reuses detect's analysis, so it copies nothing of the data.
+    assert 0 < peak < x.nbytes
     assert pipeline._last_seen is None

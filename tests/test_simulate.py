@@ -13,6 +13,7 @@ from cpjoint import (
     CovScenario,
     CovSpec,
     ErrorDist,
+    NonFiniteValueError,
     NotPSDError,
     NotSymmetricError,
     SimulationModel,
@@ -75,6 +76,16 @@ class TestBuildCov:
         with pytest.raises(BadParamError):
             build_cov(CovSpec(CovScenario.AR1, 0.3, 1.0), 0)
 
+    @pytest.mark.parametrize("scenario", list(CovScenario))
+    def test_non_integer_dimension_rejected(self, scenario):
+        # 2.5 gave a 3 x 3 AR(1) matrix and a bare TypeError for BLOCK5.
+        with pytest.raises(BadParamError, match="p=2.5"):
+            build_cov(CovSpec(scenario, 0.3, 1.0), 2.5)
+
+    def test_numpy_integer_dimension_accepted(self):
+        spec = CovSpec(CovScenario.BLOCK5, 0.3, 1.0)
+        assert np.array_equal(build_cov(spec, np.int64(7)), build_cov(spec, 7))
+
     def test_string_scenario_selects_its_design(self):
         for scenario in CovScenario:
             spec = CovSpec(scenario.value, 0.3, 1.0)
@@ -128,6 +139,15 @@ class TestCovSqrt:
     def test_unknown_method(self):
         with pytest.raises(BadParamError):
             cov_sqrt(np.eye(2), method="qr")
+
+    @pytest.mark.parametrize("method", ["spectral", "cholesky"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entries_rejected(self, value, method):
+        # NaN read as an asymmetric matrix; Inf gave an Inf or all-NaN root.
+        with pytest.raises(NonFiniteValueError):
+            cov_sqrt(np.array([[value, 0.0], [0.0, 1.0]]), method)
+        with pytest.raises(NonFiniteValueError):
+            cov_sqrt([[value]], method)
 
 
 class TestMixSeed:

@@ -1,10 +1,13 @@
-"""Print the traced memory peak of a fresh ``detect`` on each README shape.
+"""Print the traced memory peaks of ``detect`` and ``localize`` on each README shape.
 
 For each shape the data are standard normal draws.  A first ``detect`` on
 the reversed rows fills the caches a long-running process has already
 paid for; the kept analysis is then dropped, and the peak of one more
-``detect`` is read with tracemalloc.  Each line gives the shape, the size
-of the data, the peak and the peak's ratio to the data.
+``detect`` is read with tracemalloc.  Then ``localize`` runs on the same
+data after ``detect``, as a user's sequence does: it reuses the kept
+analysis, so its peak is that of the profile step.  Each line gives the
+shape, the size of the data, the peak of ``detect`` and its ratio to the
+data, and the peak of ``localize``.
 
     python tools/peak_probe.py
 
@@ -22,7 +25,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cpjoint import detect, pipeline  # noqa: E402
+from cpjoint import detect, localize, pipeline  # noqa: E402
 
 SHAPES = ((200, 100), (128, 60), (1000, 500), (2000, 600), (2000, 50), (100_000, 20))
 
@@ -40,12 +43,26 @@ def fresh_detect_peak(x: np.ndarray) -> int:
         pipeline._last_seen = None
 
 
+def localize_peak(x: np.ndarray) -> int:
+    """Traced peak, in bytes, of ``localize`` on x right after ``detect`` on x."""
+    detect(x)
+    tracemalloc.start()
+    try:
+        localize(x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        pipeline._last_seen = None
+
+
 def main() -> int:
-    print(f"{'shape':<12}{'data MB':>9}{'peak MB':>9}{'ratio':>7}")
+    print(f"{'shape':<12}{'data MB':>9}{'peak MB':>9}{'ratio':>7}{'localize MB':>13}")
     for n, p in SHAPES:
         x = np.random.default_rng(n + p).standard_normal((n, p))
         peak = fresh_detect_peak(x)
-        print(f"{f'{n}x{p}':<12}{x.nbytes / 1e6:>9.2f}{peak / 1e6:>9.2f}{peak / x.nbytes:>7.2f}")
+        profile = localize_peak(x)
+        print(f"{f'{n}x{p}':<12}{x.nbytes / 1e6:>9.2f}{peak / 1e6:>9.2f}"
+              f"{peak / x.nbytes:>7.2f}{profile / 1e6:>13.2f}")
     return 0
 
 
