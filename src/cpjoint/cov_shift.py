@@ -240,7 +240,8 @@ def _sweep(n: int, panels) -> np.ndarray:
             for side, outside in ((0, c[:lo]), (1, c[hi:])):
                 col = np.einsum("ij,ij,ij->j", block, block, diagonal[side + 1],
                                 out=edge[side, 1, lo:hi])
-                col += np.einsum("ij,ij->j", outside, outside)
+                if len(outside):
+                    col += np.einsum("ij,ij->j", outside, outside)
             on_diagonal = np.einsum("ii->i", block)     # a writable view
             on_diagonal[...] = 0.0
             np.cumsum(c, axis=0, out=c)                 # C
@@ -251,8 +252,10 @@ def _sweep(n: int, panels) -> np.ndarray:
             for side in (0, 1):
                 if side:
                     np.subtract(last, c, out=c)         # S
-                rows[side, 1, :lo] += np.einsum("ij,ij->i", c[:lo], c[:lo])
-                rows[side, 0, hi:] += np.einsum("ij,ij->i", c[hi:], c[hi:])
+                if lo:
+                    rows[side, 1, :lo] += np.einsum("ij,ij->i", c[:lo], c[:lo])
+                if hi < n:
+                    rows[side, 0, hi:] += np.einsum("ij,ij->i", c[hi:], c[hi:])
                 rows[side, :, lo:hi] += np.einsum("ij,ij,kij->ki", block, block, diagonal[:2])
 
     head = np.cumsum(edge, axis=2)      # over the columns 0 .. t
