@@ -14,32 +14,16 @@ from .errors import (
     BadParamError,
     CpjointError,
     DegenerateScaleError,
-    EmptyGridError,
-    NegativeInputError,
     NonFiniteValueError,
     NotAMatrixError,
-    NotPSDError,
-    NotSymmetricError,
     PValueRangeError,
     SampleTooSmallError,
     TooFewObservationsError,
 )
 from .mean_shift import MeanStatResult, mean_stat_curve
 from .cov_shift import CovStatResult, cov_stat_curve
-from .scale import (
-    COV_VAR_COEFF,
-    MEAN_VAR_COEFF,
-    Calibration,
-    calibrate,
-    trace_sigma2_hat,
-    trace_sigma3_hat,
-)
-from .tails import (
-    chi2_4_sf,
-    fisher_combine_log,
-    normal_log_sf,
-    skewed_log_sf,
-)
+from .scale import Calibration, calibrate, trace_sigma2_hat
+from .tails import fisher_combine_log, normal_log_sf
 from .pipeline import (
     BaselineOutcome,
     LocalizationOutcome,
@@ -51,15 +35,11 @@ from .pipeline import (
 )
 from .simulate import (
     CovScenario,
-    CovSpec,
     ErrorDist,
     ExperimentReport,
     MethodResult,
     SimulationModel,
-    build_cov,
-    cov_sqrt,
     gen_dataset,
-    mix_seed,
     run_experiment,
 )
 
@@ -69,27 +49,20 @@ __all__ = [
     "AlphaRangeError",
     "BadParamError",
     "BaselineOutcome",
-    "COV_VAR_COEFF",
     "Calibration",
     "CovScenario",
-    "CovSpec",
     "CovStatResult",
     "CpjointError",
     "Dataset",
     "DegenerateScaleError",
-    "EmptyGridError",
     "ErrorDist",
     "ExperimentReport",
     "LocalizationOutcome",
-    "MEAN_VAR_COEFF",
     "MeanStatResult",
     "Method",
     "MethodResult",
-    "NegativeInputError",
     "NonFiniteValueError",
     "NotAMatrixError",
-    "NotPSDError",
-    "NotSymmetricError",
     "PValueRangeError",
     "SampleTooSmallError",
     "SimulationModel",
@@ -97,10 +70,7 @@ __all__ = [
     "TestOutcome",
     "TooFewObservationsError",
     "baselines",
-    "build_cov",
     "calibrate",
-    "chi2_4_sf",
-    "cov_sqrt",
     "cov_stat_curve",
     "dataset_from_matrix",
     "detect",
@@ -109,10 +79,7 @@ __all__ = [
     "gram",
     "localize",
     "mean_stat_curve",
-    "mix_seed",
     "normal_log_sf",
     "run_experiment",
-    "skewed_log_sf",
     "trace_sigma2_hat",
-    "trace_sigma3_hat",
 ]

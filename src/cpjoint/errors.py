@@ -33,10 +33,6 @@ class DegenerateScaleError(CpjointError, ValueError):
     """The data carry no usable variation, or their scale leaves the double range."""
 
 
-class EmptyGridError(CpjointError, ValueError):
-    """The localization search grid contains no candidate split."""
-
-
 class NotSymmetricError(CpjointError, ValueError):
     """A matrix that must be symmetric is not."""
 

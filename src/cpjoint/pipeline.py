@@ -45,7 +45,6 @@ from .errors import (
     AlphaRangeError,
     BadParamError,
     DegenerateScaleError,
-    EmptyGridError,
     NonFiniteValueError,
 )
 from .mean_shift import MeanStatResult, _mean_result
@@ -274,10 +273,10 @@ class _Grid(NamedTuple):
 
 
 def _check_lam(lam: float) -> None:
-    """The rule of :func:`_search_grid` that can fail before the data are read.
+    """The one rule of :func:`_search_grid` that can fail, checked before the data are read.
 
-    For n >= 8, the smallest dataset there is, no lam in (0, 0.5) leaves
-    the grid empty, so callers check lam before the analysis.
+    For n >= 8, the smallest dataset there is, every lam in (0, 0.5)
+    gives 4 <= lo <= hi <= n - 4, so the grid is never empty.
     """
     if not _strictly_inside(lam, 0.0, 0.5):
         raise BadParamError(f"lambda={lam!r} is not a number strictly inside (0, 0.5)")
@@ -288,8 +287,6 @@ def _search_grid(n: int, lam: float) -> _Grid:
     margin = int(math.floor(lam * n))
     lo = max(margin, 4)
     hi = min(n - margin, n - 4)
-    if lo > hi:
-        raise EmptyGridError(f"no candidate splits in [{lo}, {hi}] for n={n}")
     return _Grid(lo, hi)
 
 

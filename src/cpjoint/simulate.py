@@ -162,13 +162,11 @@ def build_cov(spec: CovSpec, p: int) -> np.ndarray:
     return spec.scale * base
 
 
-def cov_sqrt(sigma, method: str = "spectral") -> np.ndarray:
-    """A square root R of a symmetric PSD matrix with R R^T = Sigma.
+def cov_sqrt(sigma) -> np.ndarray:
+    """The symmetric square root R = R^T of a symmetric PSD matrix, R R = Sigma.
 
-    ``spectral`` (default) returns the symmetric square root from the
-    eigendecomposition; ``cholesky`` returns the lower-triangular factor.
-    The two induce different data laws for non-Gaussian inputs, so the
-    symmetric root is the default.
+    It comes from the eigendecomposition, with eigenvalues that rounding
+    pushed below zero clipped to zero.
     """
     s = np.asarray(sigma, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -177,13 +175,6 @@ def cov_sqrt(sigma, method: str = "spectral") -> np.ndarray:
         raise NonFiniteValueError("matrix has NaN or infinite entries")
     if not np.allclose(s, s.T, rtol=1e-12, atol=1e-12):
         raise NotSymmetricError("matrix is not symmetric")
-    if method == "cholesky":
-        try:
-            return np.linalg.cholesky(s)
-        except np.linalg.LinAlgError as exc:
-            raise NotPSDError(str(exc)) from None
-    if method != "spectral":
-        raise BadParamError(f"unknown square-root method {method!r}")
     eigvals, eigvecs = np.linalg.eigh(0.5 * (s + s.T))
     bound = -1e-10 * float(np.abs(eigvals).max())
     if eigvals.min() < bound:
@@ -200,38 +191,34 @@ def _draw_errors(rng: np.random.Generator, n: int, p: int, dist: ErrorDist) -> n
 
 
 @functools.lru_cache(maxsize=8, typed=True)
-def _cached_root(
-    scenario: CovScenario, corr: float, scale: float, p: int, sqrt_method: str
-) -> np.ndarray:
+def _cached_root(scenario: CovScenario, corr: float, scale: float, p: int) -> np.ndarray:
     """``cov_sqrt(build_cov(...))``, kept per process and marked read-only.
 
     Every replication of an experiment uses the same roots; eight entries
     hold the pre-change root and the post-change roots of a ``delta2``
     sweep.
     """
-    root = cov_sqrt(build_cov(CovSpec(scenario, corr, scale), p), sqrt_method)
+    root = cov_sqrt(build_cov(CovSpec(scenario, corr, scale), p))
     root.setflags(write=False)
     return root
 
 
-def _roots(
-    model: SimulationModel, sqrt_method: str
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def _roots(model: SimulationModel) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The pre-change root and, if the model has a change, the post-change root."""
-    pre = _cached_root(model.cov_scenario, _PRE_CORR, 1.0, model.p, sqrt_method)
+    pre = _cached_root(model.cov_scenario, _PRE_CORR, 1.0, model.p)
     if model.tau_star is None:
         return pre, None
-    post = _cached_root(model.cov_scenario, _POST_CORR, model.delta2, model.p, sqrt_method)
+    post = _cached_root(model.cov_scenario, _POST_CORR, model.delta2, model.p)
     return pre, post
 
 
-def gen_dataset(model: SimulationModel, sqrt_method: str = "spectral") -> Dataset:
+def gen_dataset(model: SimulationModel) -> Dataset:
     """One synthetic dataset, deterministic given ``model.seed``."""
     rng = np.random.default_rng(model.seed)
     errors = _draw_errors(rng, model.n, model.p, model.error_dist)
     tau = model.n if model.tau_star is None else model.tau_star
 
-    pre_root, post_root = _roots(model, sqrt_method)
+    pre_root, post_root = _roots(model)
     # Products go straight into x, which is private to this call, so the
     # Dataset keeps it: no n x p temporary or copy beside errors and x.
     x = np.empty((model.n, model.p))
@@ -329,7 +316,7 @@ def run_experiment(
         # Forked workers inherit the filled root cache instead of each
         # recomputing the roots, and the loaded gamma tail instead of each
         # importing scipy.
-        _roots(model, "spectral")
+        _roots(model)
         if calibration == "finite_sample":
             import scipy.special  # noqa: F401
         chunk = max(1, reps // (4 * workers))

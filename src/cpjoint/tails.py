@@ -61,20 +61,20 @@ def _validate_finite(x) -> np.ndarray:
     return arr
 
 
-def _erfc(v: np.ndarray) -> np.ndarray:
-    """``math.erfc`` of every element of a float64 array (numpy has no erfc).
+def _erfc(v) -> np.ndarray:
+    """``math.erfc`` of every element of a float64 array, in place (numpy has no erfc).
 
-    The elements go through Python floats _ERFC_BLOCK at a time, so that
-    beside the input and the result it holds one block's list, not a list
-    of the whole input.
+    ``v`` must be a fresh array or scalar: its elements are overwritten, a
+    scalar's in a new 0-d array, which is returned.  They go through Python
+    floats _ERFC_BLOCK at a time, so that beside ``v`` it holds one block's
+    list, not a list of the whole input.
     """
     v = np.asarray(v)
-    flat = v.ravel()
-    out = np.empty(v.size)
+    flat = v.ravel(order="K")                   # a view: v is dense
     for lo in range(0, v.size, _ERFC_BLOCK):
         block = flat[lo : lo + _ERFC_BLOCK].tolist()
-        out[lo : lo + len(block)] = np.fromiter(map(math.erfc, block), np.float64, len(block))
-    return out.reshape(v.shape)
+        flat[lo : lo + len(block)] = np.fromiter(map(math.erfc, block), np.float64, len(block))
+    return v
 
 
 def normal_log_sf(x):
@@ -93,22 +93,20 @@ def normal_log_sf(x):
     """
     arr = _validate_finite(x)
     far = arr >= _SERIES_FROM
-    if far.any():
-        out = np.empty_like(arr)
+    # out= gives a fresh array for a scalar too, which _log_sf_erfc consumes.
+    out = _log_sf_erfc(np.minimum(arr, _SERIES_FROM, out=np.empty_like(arr)))
+    if far.any():       # the series' twenty-odd numpy calls cost as much on no score as on a few
         out[far] = _log_sf_series(arr[far])
-        out[~far] = _log_sf_erfc(arr[~far])
-    else:
-        out = _log_sf_erfc(arr)
     return float(out) if out.ndim == 0 else out
 
 
 def _log_sf_erfc(x: np.ndarray) -> np.ndarray:
-    """log(1 - Phi(x)) for x < 37 from ``math.erfc``."""
-    q = np.abs(x)
-    q *= _SQRT1_2
-    q = _erfc(q)
-    q *= 0.5                                    # the tail beyond |x|
+    """log(1 - Phi(x)) for x <= 37 from ``math.erfc``; overwrites ``x``."""
     below = x < 0.0
+    q = np.abs(x, out=x)
+    q *= _SQRT1_2
+    _erfc(q)
+    q *= 0.5                                    # the tail beyond |x|
     np.log(q, out=q, where=~below)
     np.negative(q, out=q, where=below)
     return np.log1p(q, out=q, where=below)

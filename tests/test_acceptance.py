@@ -14,11 +14,8 @@ import pytest
 
 from cpjoint import (
     CovScenario,
-    CovSpec,
     ErrorDist,
     SimulationModel,
-    build_cov,
-    chi2_4_sf,
     cov_stat_curve,
     detect,
     gen_dataset,
@@ -27,6 +24,8 @@ from cpjoint import (
     run_experiment,
     trace_sigma2_hat,
 )
+from cpjoint.simulate import CovSpec, build_cov
+from cpjoint.tails import chi2_4_sf
 from conftest import random_orthogonal, rel_err
 from naive import mean_coefficients, naive_cov_stat, naive_mean_stat, naive_trace_sq
 

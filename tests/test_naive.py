@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cpjoint import NotSymmetricError
+from cpjoint.errors import NotSymmetricError
 from naive import TauRangeError, naive_cov_stat, naive_mean_stat, naive_trace_sq
 
 

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cpjoint import (
     AlphaRangeError,
@@ -30,15 +30,14 @@ from cpjoint import (
     localize,
     mean_stat_curve,
     run_experiment,
-    skewed_log_sf,
     trace_sigma2_hat,
-    trace_sigma3_hat,
 )
 from cpjoint import data as data_module
 from cpjoint import pipeline
 from cpjoint.data import StatCurve
 from cpjoint.pipeline import _pick_min_p, _search_grid
-from cpjoint.scale import mean_skewness
+from cpjoint.scale import mean_skewness, trace_sigma3_hat
+from cpjoint.tails import skewed_log_sf
 from conftest import rel_err
 from naive import chi2_4_quantile, fisher_combine
 
@@ -209,6 +208,17 @@ class TestSearchGrid:
     def test_lambda_validation(self, lam):
         with pytest.raises(BadParamError):
             _search_grid(100, lam)
+
+    @settings(max_examples=200)
+    @given(
+        n=st.integers(8, 10**6),
+        lam=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    )
+    @example(n=8, lam=math.nextafter(0.5, 0.0))     # the tightest grid: [4, 4]
+    def test_grid_is_never_empty(self, n, lam):
+        # n >= 8 is the smallest Dataset, so no call can meet an empty grid.
+        lo, hi = _search_grid(n, lam)
+        assert 4 <= lo <= hi <= n - 4
 
 
 class TestLocalize:

@@ -7,23 +7,25 @@ import numpy as np
 import pytest
 
 from cpjoint import (
-    COV_VAR_COEFF,
     CovScenario,
-    CovSpec,
     DegenerateScaleError,
     ErrorDist,
-    MEAN_VAR_COEFF,
     SampleTooSmallError,
     SimulationModel,
-    build_cov,
     calibrate,
     gen_dataset,
     trace_sigma2_hat,
-    trace_sigma3_hat,
 )
 from cpjoint import scale
 from cpjoint.mean_shift import _BLOCK
-from cpjoint.scale import _mean_kernel_skew, mean_skewness
+from cpjoint.scale import (
+    COV_VAR_COEFF,
+    MEAN_VAR_COEFF,
+    _mean_kernel_skew,
+    mean_skewness,
+    trace_sigma3_hat,
+)
+from cpjoint.simulate import CovSpec, build_cov
 from conftest import rel_err
 from naive import mean_coefficients, unblocked_trace_sigma2, unblocked_trace_sigma3
 

@@ -11,18 +11,14 @@ from cpjoint import (
     AlphaRangeError,
     BadParamError,
     CovScenario,
-    CovSpec,
     ErrorDist,
     NonFiniteValueError,
-    NotPSDError,
-    NotSymmetricError,
     SimulationModel,
-    build_cov,
-    cov_sqrt,
     gen_dataset,
-    mix_seed,
     run_experiment,
 )
+from cpjoint.errors import NotPSDError, NotSymmetricError
+from cpjoint.simulate import CovSpec, build_cov, cov_sqrt, mix_seed
 
 
 def _model(**overrides):
@@ -120,34 +116,21 @@ class TestCovSqrt:
         root = cov_sqrt(sigma)
         assert np.array_equal(root, root.T)
 
-    def test_cholesky_option(self):
-        sigma = build_cov(CovSpec(CovScenario.AR1, 0.4, 2.0), 6)
-        root = cov_sqrt(sigma, method="cholesky")
-        assert np.allclose(np.triu(root, k=1), 0.0)
-        assert np.allclose(root @ root.T, sigma, atol=1e-12)
-
     def test_not_psd(self):
         with pytest.raises(NotPSDError):
             cov_sqrt(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        with pytest.raises(NotPSDError):
-            cov_sqrt(np.array([[1.0, 2.0], [2.0, 1.0]]), method="cholesky")
 
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetricError):
             cov_sqrt(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
-    def test_unknown_method(self):
-        with pytest.raises(BadParamError):
-            cov_sqrt(np.eye(2), method="qr")
-
-    @pytest.mark.parametrize("method", ["spectral", "cholesky"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    def test_non_finite_entries_rejected(self, value, method):
+    def test_non_finite_entries_rejected(self, value):
         # NaN read as an asymmetric matrix; Inf gave an Inf or all-NaN root.
         with pytest.raises(NonFiniteValueError):
-            cov_sqrt(np.array([[value, 0.0], [0.0, 1.0]]), method)
+            cov_sqrt(np.array([[value, 0.0], [0.0, 1.0]]))
         with pytest.raises(NonFiniteValueError):
-            cov_sqrt([[value]], method)
+            cov_sqrt([[value]])
 
 
 class TestMixSeed:
@@ -267,10 +250,6 @@ class TestGenDataset:
         # Marginal variance of each coordinate is 1 under the null design.
         assert data.values.var() == pytest.approx(1.0, abs=0.05)
 
-    def test_cholesky_root_option_changes_law_not_shape(self):
-        data = gen_dataset(_model(), sqrt_method="cholesky")
-        assert (data.n, data.p) == (60, 6)
-
 
 class TestRootCache:
     @pytest.fixture(autouse=True)
@@ -279,34 +258,33 @@ class TestRootCache:
         yield
         simulate._cached_root.cache_clear()
 
-    @pytest.mark.parametrize("method", ["spectral", "cholesky"])
     @pytest.mark.parametrize("scenario", list(CovScenario))
-    def test_same_bits_as_fresh_roots(self, scenario, method):
+    def test_same_bits_as_fresh_roots(self, scenario):
         model = _model(n=40, p=12, tau_star=20, delta1=0.5, delta2=1.5,
                        cov_scenario=scenario)
-        pre = cov_sqrt(build_cov(CovSpec(scenario, 0.3, 1.0), 12), method)
-        post = cov_sqrt(build_cov(CovSpec(scenario, 0.5, 1.5), 12), method)
+        pre = cov_sqrt(build_cov(CovSpec(scenario, 0.3, 1.0), 12))
+        post = cov_sqrt(build_cov(CovSpec(scenario, 0.5, 1.5), 12))
         errors = np.random.default_rng(model.seed).standard_normal((40, 12))
         expected = np.vstack([
             errors[:20] @ pre.T,
             errors[20:] @ post.T + 0.5 / math.sqrt(12),
         ])
         for _ in range(2):  # the first call fills the cache, the second reads it
-            assert np.array_equal(gen_dataset(model, method).values, expected)
+            assert np.array_equal(gen_dataset(model).values, expected)
 
     def test_run_experiment_computes_each_root_once(self, monkeypatch):
         calls = []
 
-        def counting_cov_sqrt(sigma, method="spectral"):
-            calls.append(method)
-            return cov_sqrt(sigma, method)
+        def counting_cov_sqrt(sigma):
+            calls.append(sigma.shape)
+            return cov_sqrt(sigma)
 
         monkeypatch.setattr(simulate, "cov_sqrt", counting_cov_sqrt)
         run_experiment(_model(), reps=10)
         assert 1 <= len(calls) <= 2
 
     def test_cached_roots_read_only_public_roots_writeable(self):
-        pre, post = simulate._roots(_model(), "spectral")
+        pre, post = simulate._roots(_model())
         for root in (pre, post):
             assert not root.flags.writeable
             with pytest.raises(ValueError):
@@ -315,7 +293,7 @@ class TestRootCache:
         assert fresh.flags.writeable
         assert np.array_equal(fresh, pre)
         fresh[0, 0] = 0.0
-        assert simulate._roots(_model(), "spectral")[0] is pre
+        assert simulate._roots(_model())[0] is pre
 
 
 class TestRunExperiment:

@@ -1,4 +1,5 @@
-"""tools/src_lines.py: code lines leave out docstrings, comments and blank lines."""
+"""tools/src_lines.py: code lines leave out docstrings, comments and blank lines;
+the export count is the length of ``__all__``."""
 
 import importlib.util
 from pathlib import Path
@@ -30,3 +31,7 @@ def test_counts_total_and_code_lines():
     # Code: import, class, def, text = (two lines) and return.
     assert src_lines.count(SOURCE) == (15, 6)
 
+
+def test_counts_the_names_in_all():
+    source = 'from .a import f\n\n__version__ = "1"\n\n__all__ = [\n    "f",\n    "g",\n]\n'
+    assert src_lines.exported(source) == 2

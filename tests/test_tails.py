@@ -13,14 +13,13 @@ import pytest
 from cpjoint import (
     AlphaRangeError,
     CpjointError,
-    NegativeInputError,
     NonFiniteValueError,
     PValueRangeError,
-    chi2_4_sf,
     fisher_combine_log,
     normal_log_sf,
-    skewed_log_sf,
 )
+from cpjoint.errors import NegativeInputError
+from cpjoint.tails import chi2_4_sf, skewed_log_sf
 from naive import chi2_4_quantile, fisher_combine, normal_sf
 
 # 0.5 * erfc(x / sqrt(2)) at 60 digits, rounded to double.

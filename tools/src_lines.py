@@ -2,7 +2,8 @@
 
 Code lines are those that hold a token of code: blank lines, comments
 and docstrings (module, class and function docstrings, found with ast)
-do not count.  Standard library only.
+do not count.  The last line gives the number of names in the package's
+``__all__``, read from its __init__.py with ast.  Standard library only.
 
     python tools/src_lines.py [package_dir]
 
@@ -44,6 +45,16 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code)
 
 
+def exported(source: str) -> int:
+    """Number of names in the ``__all__`` list that a module's source assigns."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return len(node.value.elts)
+    raise ValueError("no __all__ assignment")
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "cpjoint"
     totals = [0, 0]
@@ -54,6 +65,7 @@ def main(argv: list[str]) -> int:
         totals[1] += code
         print(f"{path.name:<16}{total:>7}{code:>7}")
     print(f"{'all':<16}{totals[0]:>7}{totals[1]:>7}")
+    print(f"names in __all__: {exported((root / '__init__.py').read_text(encoding='utf-8'))}")
     return 0
 
 
