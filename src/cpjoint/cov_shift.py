@@ -51,10 +51,13 @@ scale of the curve at that split.
 Both paths compute the sums of the centered rows: the statistic is
 translation invariant, the sums are not, and on raw data far from the
 origin they cancel away the digits of the curve.  The feature path
-centers each block as it reads it, the Gram path each panel.  Three of
-the sums, pre1, suf1 and cross1, are also the pair sums of the
-mean-shift curve, which :func:`_curves` forms beside the covariance
-curve, so that the pipeline reads both off this sweep.
+centers each block as it reads it, the Gram path each panel.
+
+Three of the sums, pre1, suf1 and cross1, are also the pair sums of the
+mean-shift curve, which :func:`_curves` forms from them beside the
+covariance curve (:func:`_mean_values`).  It is the package's one
+mean-curve path: ``detect`` and :func:`cpjoint.mean_stat_curve` both read
+the mean curve off this sweep, so the two give the same bits.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ import numpy as np
 
 from .data import StatCurve, as_matrix
 from .errors import NotAMatrixError, SampleTooSmallError
-from .mean_shift import _mean_values, _side_sizes
 
 #: The feature path runs when n >= _FEATURE_ROWS_PER_COLUMN * p: the two
 #: paths' time and traced peak cross near 5p (table in README.md).
@@ -460,6 +462,27 @@ def _feature_passes(x: np.ndarray, center: np.ndarray | float):
         del acc     # freed before the second pass's chunk is formed
 
 
+def _side_sizes(first: int, count: int, n: int, step: int = 1) -> np.ndarray:
+    """[m1, m2], the sizes of the two sides at the splits after first, first + step, ... rows."""
+    m1 = np.arange(first, first + step * count, step, dtype=np.float64)
+    return np.array((m1, n - m1))
+
+
+def _mean_values(within1, within2, cross, m: np.ndarray) -> np.ndarray:
+    """The mean-shift curve at a range of splits, from three inner-product sums there.
+
+    within1 and within2 sum x_i . x_j over distinct i, j before and after
+    the split, cross over i before it and j after it; m = [m1, m2] holds
+    the sizes of the two sides (:func:`_side_sizes`).  Elementwise, so the
+    curve can be formed one range of splits at a time.
+    """
+    n1, n2 = m
+    out = within1 / (n1 * (n1 - 1.0))
+    out += within2 / (n2 * (n2 - 1.0))
+    out -= 2.0 * cross / (n1 * n2)
+    return out
+
+
 def _split_values(base: np.ndarray, rows: _SweepTerms, m: np.ndarray) -> np.ndarray:
     """The curve at a range of splits, from the sums there and the sizes of the two sides.
 
@@ -532,10 +555,10 @@ def _curves(x: np.ndarray, with_mean: bool = True) -> tuple[np.ndarray, np.ndarr
     formed, the covariance curve in place in them (see
     :func:`_split_values`), so beside one chunk this holds the two curves.
     With ``with_mean=False`` the mean curve is not formed and comes back
-    as None.
+    as None.  For 4 <= n < 8 the covariance curve is empty.
     """
     n, p = x.shape
-    cov, mean = np.empty(n - 7), (np.empty(n - 3) if with_mean else None)
+    cov, mean = np.empty(max(n - 7, 0)), (np.empty(n - 3) if with_mean else None)
     if n >= _FEATURE_ROWS_PER_COLUMN * p:
         chunks = _feature_passes(x, x.mean(axis=0))
     else:
@@ -581,16 +604,18 @@ def _centered_panels(x: np.ndarray):
     and a are formed here, at the call; the panels as they are drawn.
     """
     n, p = x.shape
+    # Contiguous and aligned, so that x @ x.T is a symmetric syrk (see gram)
+    # and np.vdot, BLAS, reads x without a copy.
+    given, x = x, np.require(x, requirements=("C", "A"))
     m = x.mean(axis=0)
     mm = float(m @ m)
     a = None
     # The mean squared row norm is s^2 + |m|^2.
-    if n * mm > 0.5 * float(np.einsum("ij,ij->", x, x)):
+    if n * mm > 0.5 * float(np.vdot(x, x)):
         with _small_buffers():
-            x = x - m
+            # In place where x is already a copy, so that one copy is held.
+            x = np.subtract(x, m, out=None if x is given else x)
     else:
-        # Contiguous and aligned, so that x @ x.T is a symmetric syrk (see gram).
-        x = np.require(x, requirements=("C", "A"))
         a = x @ m
     layout = _panel_blocks(n, p)
     widest = max(blocks[-1][1] - blocks[0][0] for blocks in layout)

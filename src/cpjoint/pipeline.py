@@ -302,16 +302,24 @@ def _profiles(stats: _Statistics, lam: float) -> _Profiles:
     """Both standardized curves' -2 log p and their sum over the search grid.
 
     The curves are read through slices: the mean curve covers the splits
-    2 .. n-2, the covariance curve 4 .. n-4.
+    2 .. n-2, the covariance curve 4 .. n-4.  Each step but the tail works
+    in place, and the weights go before the tail runs, so that beside the
+    2 x L scores this holds what ``normal_log_sf`` needs.
     """
     n = stats.mean_result.per_tau.tau_max + 2
     lo, hi = grid = _search_grid(n, lam)
-    m1 = np.arange(lo, hi + 1, dtype=np.float64)
-    weight = m1 * (n - m1) / n
+    weight = np.arange(lo, hi + 1, dtype=np.float64)      # m1 (n - m1) / n
+    weight *= n - weight
+    weight /= n
     scale = stats.calibration.trace_hat
-    mean_std = weight * stats.mean_result.per_tau.values[lo - 2 : hi - 1] / math.sqrt(2.0 * scale)
-    cov_std = weight * stats.cov_result.per_tau.values[lo - 4 : hi - 3] / (2.0 * scale)
-    mean_term, cov_term = -2.0 * normal_log_sf(np.stack([mean_std, cov_std]))
+    std = np.empty((2, hi - lo + 1))
+    np.multiply(weight, stats.mean_result.per_tau.values[lo - 2 : hi - 1], out=std[0])
+    np.multiply(weight, stats.cov_result.per_tau.values[lo - 4 : hi - 3], out=std[1])
+    del weight
+    std[0] /= math.sqrt(2.0 * scale)
+    std[1] /= 2.0 * scale
+    mean_term, cov_term = terms = normal_log_sf(std)
+    terms *= -2.0
     return _Profiles(lam, grid, mean_term, cov_term, mean_term + cov_term)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from cpjoint import cov_shift
 from cpjoint.cli import CsvFormatError
-from cpjoint.cov_shift import CovStatResult, _SweepTerms
+from cpjoint.cov_shift import CovStatResult, _SweepTerms, _side_sizes
 from cpjoint.data import as_matrix
 from cpjoint.errors import (
     AlphaRangeError,
@@ -38,7 +38,6 @@ from cpjoint.errors import (
     PValueRangeError,
     SampleTooSmallError,
 )
-from cpjoint.mean_shift import _side_sizes
 from cpjoint.tails import BELOW_ONE, TINY, _erfc, _validate_finite
 
 _MAX_N_MEAN = 24
@@ -142,7 +141,7 @@ def centered_gram(x: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     m = x.mean(axis=0)
     mm = float(m @ m)
-    if n * mm > 0.5 * float(np.einsum("ij,ij->", x, x)):
+    if n * mm > 0.5 * float(np.vdot(x, x)):
         xc = x - m
         return xc @ xc.T
     g = x @ x.T

@@ -1,5 +1,7 @@
 """Mean-shift curve: oracle equivalence, coefficient identity, invariances."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,7 @@ from cpjoint import (
     SampleTooSmallError,
     mean_stat_curve,
 )
-from cpjoint import mean_shift
-from cpjoint.mean_shift import _BLOCK
+from cpjoint.cov_shift import _mean_values, _side_sizes
 from conftest import random_orthogonal, rel_err
 from naive import mean_coefficients, naive_mean_stat
 
@@ -31,15 +32,14 @@ def test_minimum_sample_size():
         mean_stat_curve(np.zeros((3, 2)))
 
 
-# p = 2 * _BLOCK + 3 sweeps two full column blocks and a ragged third;
-# blocks of 2 columns put a ragged block after three full ones.
+# At n = 12, p = 3 the curve comes from the feature path (n >= 4p), at
+# p = 7 and p = 259 from the Gram path.
 @pytest.mark.parametrize(
-    "seed, p, block",
-    [(seed, 3, _BLOCK) for seed in range(8)] + [(8, 2 * _BLOCK + 3, _BLOCK), (9, 7, 2)],
+    "seed, p",
+    [(seed, 3) for seed in range(8)] + [(8, 259), (9, 7)],
     ids=[str(seed) for seed in range(8)] + ["ragged_blocks", "blocks_of_2"],
 )
-def test_matches_naive_oracle(seed, p, block, monkeypatch):
-    monkeypatch.setattr(mean_shift, "_BLOCK", block)
+def test_matches_naive_oracle(seed, p):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((12, p))
     result = mean_stat_curve(x)
@@ -60,18 +60,36 @@ def _extended_mean_curve(x):
     within1 = np.einsum("ij,ij->i", s1, s1) - np.cumsum(q)[1 : n - 2]
     within2 = np.einsum("ij,ij->i", s2, s2) - np.cumsum(q[::-1])[::-1][2 : n - 1]
     cross = np.einsum("ij,ij->i", s1, s2)
-    return mean_shift._mean_values(within1, within2, cross, mean_shift._side_sizes(2, n - 3, n))
+    return _mean_values(within1, within2, cross, _side_sizes(2, n - 3, n))
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_accuracy_against_extended_precision(seed):
-    # s2 is formed as total - s1 and the suffix's squared norms are summed
-    # from the end: |s2|^2 expanded through the totals lost up to 6e-13 of
-    # the scale here.
-    x = np.random.default_rng(seed).standard_normal((2000, 50))
+# 2000 x 50 takes the feature path, 200 x 5000 the Gram path.
+@pytest.mark.parametrize(
+    "seed, shape",
+    [(seed, (2000, 50)) for seed in range(4)] + [(seed, (200, 5000)) for seed in range(4)],
+    ids=[str(seed) for seed in range(4)] + [f"200x5000-{seed}" for seed in range(4)],
+)
+def test_accuracy_against_extended_precision(seed, shape):
+    # Each side's pair sums are summed directly on the shorter side: |s2|^2
+    # expanded through the totals lost up to 6e-13 of the scale at 2000 x 50.
+    x = np.random.default_rng(seed).standard_normal(shape)
     exact = _extended_mean_curve(x)
     err = np.abs(mean_stat_curve(x).per_tau.values - exact).max()
     assert err <= 1e-14 * np.abs(exact).max()
+
+
+# 200 x 100 takes the Gram path, 400 x 20 the feature path.
+@pytest.mark.parametrize("shape", [(200, 100), (400, 20)], ids=["gram", "feature"])
+def test_extreme_scale_is_exact_and_silent(shape):
+    # At 2^330 the covariance sums, quartic in the data, overflow, while the
+    # mean curve, quadratic, stays finite and scales by exactly 2^660.
+    x = np.random.default_rng(shape[1]).standard_normal(shape)
+    base = mean_stat_curve(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = mean_stat_curve(2.0**330 * x)
+    assert np.array_equal(scaled.per_tau.values, 2.0**660 * base.per_tau.values)
+    assert scaled.aggregate == 2.0**660 * base.aggregate
 
 
 def test_aggregate_is_weighted_sum():

@@ -14,6 +14,7 @@ from cpjoint import (
     detect,
     gen_dataset,
     gram,
+    localize,
     mean_stat_curve,
     normal_log_sf,
     pipeline,
@@ -227,6 +228,16 @@ def test_detect_on_a_very_long_series_stays_below_21_mb(monkeypatch):
     # peak to 28 MB.
     x = np.random.default_rng(6).standard_normal((100_000, 20))
     assert warm_detect_peak(x, monkeypatch) <= 21e6
+
+
+def test_localize_after_detect_on_a_very_long_series_stays_below_3_mb(monkeypatch):
+    # 10^5 x 20: localize reuses detect's analysis, so its peak is that of
+    # the profiles over the 0.6 n splits of the grid, 0.48 MB per row of
+    # scores; eight arrays of the grid's length would take it past 4 MB.
+    monkeypatch.setattr(pipeline, "_last_seen", None)
+    x = np.random.default_rng(6).standard_normal((100_000, 20))
+    detect(x)
+    assert traced_peak(localize, x) < 3e6
 
 
 @pytest.fixture(scope="module")

@@ -374,10 +374,9 @@ def test_fused_mean_curve_matches_mean_stat_curve(shape):
     x = _shifted_data(n=shape[0], p=shape[1], tau=shape[0] // 2, seed=shape[1])
     _, fused, _ = pipeline._statistics(Dataset(x))
     alone = mean_stat_curve(x)
-    scale = np.abs(alone.per_tau.values).max()
     assert (fused.per_tau.tau_min, fused.per_tau.tau_max) == (2, shape[0] - 2)
-    assert np.abs(fused.per_tau.values - alone.per_tau.values).max() <= 1e-9 * scale
-    assert rel_err(fused.aggregate, alone.aggregate) <= 1e-9
+    assert np.array_equal(fused.per_tau.values, alone.per_tau.values)
+    assert fused.aggregate == alone.aggregate
 
 
 def _bits(out):

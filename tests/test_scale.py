@@ -17,7 +17,6 @@ from cpjoint import (
     trace_sigma2_hat,
 )
 from cpjoint import scale
-from cpjoint.mean_shift import _BLOCK
 from cpjoint.scale import (
     COV_VAR_COEFF,
     MEAN_VAR_COEFF,
@@ -53,13 +52,13 @@ def test_monte_carlo_unbiased_identity_covariance():
 
 
 # Row blocks of one row, of two rows with a ragged end, and of the default
-# size, which at p = 2 * _BLOCK + 3 and n = 700 gives three blocks.  Each
+# size, which at p = 259 and n = 700 gives three blocks.  Each
 # term's row products see the same numbers as the unblocked pass, so the
 # estimates agree bit for bit (numpy's einsum sums a row of up to 8192
 # entries the same way however many rows a call has).
 @pytest.mark.parametrize(
     "shape, budget",
-    [((9, 4), 1), ((40, 7), 2 * 8 * 7), ((700, 2 * _BLOCK + 3), None)],
+    [((9, 4), 1), ((40, 7), 2 * 8 * 7), ((700, 259), None)],
     ids=["one_row", "two_rows", "default"],
 )
 @pytest.mark.parametrize(
