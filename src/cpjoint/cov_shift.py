@@ -26,15 +26,19 @@ it divides them:
   one symmetric product;
 - the feature path (:func:`_feature_passes`, n >= 4p) writes every sum as
   a polynomial in prefix moments s_t = sum x_i, A_t = sum x_i x_i',
-  q_i = |x_i|^2 and u_t = sum q_i x_i, e.g. the sum of g_ij^2 over the
-  prefix is |A_t|_F^2 - sum q_i^2.  O(n p^2) time.  It reads the data
-  one block of rows at a time in two passes, and each pass yields its
-  sums one chunk of 256 rows (or about 1/16 of the pass) at a time, the
-  running sums carried from chunk to chunk; :func:`_curves` writes both
-  curves on a chunk's splits as soon as the chunk ends.  So beside the
-  data it holds the two curves, one chunk's sums and O(b p + b^2 + p^2)
-  per block: a traced peak of 0.32 MB at n = 2000, p = 50, whose data
-  take 0.8 MB, and 2.3 MB at n = 10^5, p = 20 (16 MB of data).
+  q_i = |x_i|^2 and u_t = sum q_i x_i and in the totals, e.g. the sum of
+  g_ij^2 over the prefix is |A_t|_F^2 - sum q_i^2.  The suffix's row sum
+  r_t = s_n - s_t enters only expanded in s_t and s_n, e.g. r' A r =
+  s' A s - 2 s . A s_n + s_n' A s_n, so that each block of b rows stacks
+  just its rows x_t and their running sums s_t.  O(n p^2) time.  It
+  reads the data one block of rows at a time in two passes, and each
+  pass yields its sums one chunk of 256 rows (or about 1/16 of the pass)
+  at a time, the running sums carried from chunk to chunk; :func:`_curves`
+  writes both curves on a chunk's splits as soon as the chunk ends.  So
+  beside the data it holds the two curves, one chunk's sums and
+  O(b p + b^2 + p^2) per block: a traced peak of 0.28 MB at n = 2000,
+  p = 50, whose data take 0.8 MB, and 2.3 MB at n = 10^5, p = 20 (16 MB
+  of data).
 
 Each split has a shorter and a longer side.  Both paths sum the shorter
 side directly: as the totals minus the longer side it would be a small
@@ -86,12 +90,14 @@ _CENTER_ROWS = 16
 #: instead of 253 (2-core Xeon).
 _BUFFER_SIZE = 256
 #: Rows per block of the feature-space sweep.  Its per-block temporaries
-#: grow with the square of the block: at n = 2000, p = 50 the kernel's
-#: traced peak is 0.31 MB with 32 rows, 0.42 MB with 64 and 0.81 MB with
-#: 128, and 32 to 128 rows take 8-14 ms, 32 the slowest.
+#: grow with the square of the block: at n = 2000, p = 50 the curves'
+#: traced peak is 0.21 MB with 32 rows, 0.28 MB with 64 and 0.55 MB with
+#: 128, and they take 8.6 ms with 32 rows, 7.2 with 48, 6.4 with 64, 6.7
+#: with 96 and 6.2 with 128 (2-core Xeon): 64 comes within 4% of the
+#: fastest at half its peak.
 _FEATURE_BLOCK = 64
 #: Rows per chunk of a feature pass, at least.  A chunk's sums take 16 rows
-#: of its length, 33 KB with 256 rows, and each chunk costs about 70 numpy
+#: of its length, 33 KB with 256 rows, and each chunk costs about 85 numpy
 #: calls, about 0.1 ms on a 2-core Xeon.
 _CHUNK_ROWS = 256
 #: Longer passes are cut into about this many chunks.
@@ -172,9 +178,8 @@ def _block_masks(width: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _feature_masks(width: int) -> np.ndarray:
-    """0/1 masks [i < t, i <= t, i <= t] at [t, i] over a width x width block."""
-    low = np.tri(width)
-    masks = np.stack((np.tri(width, k=-1), low, low))
+    """0/1 masks [i < t, i <= t] at [t, i] over a width x width block."""
+    masks = np.stack((np.tri(width, k=-1), np.tri(width)))
     masks.setflags(write=False)
     return masks
 
@@ -277,7 +282,7 @@ class _Totals(NamedTuple):
 
     center: np.ndarray | float
     s: np.ndarray
-    au: np.ndarray      # [A_n | u_n], p x (p + 1)
+    au: np.ndarray      # [A_n | u_n | s_n | A_n s_n], p x (p + 3)
     q1: float           # sum of q_i = |x_i|^2
     q2: float           # sum of q_i^2
     frob: float         # ||A_n||_F^2
@@ -299,8 +304,10 @@ def _totals(x: np.ndarray, center: np.ndarray | float) -> _Totals:
         np.einsum("ij,ij->i", xb, xb, out=zb[:, p])
         zz += zb.T @ zb
     a = zz[:p, :p]
-    return _Totals(center, zz[:p, p + 1].copy(), zz[:p, : p + 1].copy(), zz[p, p + 1],
-                   zz[p, p], np.einsum("ij,ij->", a, a))
+    au = np.empty((p, p + 3))
+    au[:, : p + 2] = zz[:p, : p + 2]
+    np.matmul(a, au[:, p + 1], out=au[:, p + 2])
+    return _Totals(center, au[:, p + 1], au, zz[p, p + 1], zz[p, p], np.einsum("ij,ij->", a, a))
 
 
 def _chunk_rows(m: int) -> int:
@@ -313,12 +320,13 @@ def _chunk_rows(m: int) -> int:
     return blocks * _FEATURE_BLOCK
 
 
-# The rows of a chunk of :func:`_side_sums`: the row-wise sums, x_t's, s_t's
-# and r_t's four rows apart, and the ten sums made of them in place.
-(_Q, _X_TOT, _X_QUAD, _QQ, _SS, _S_TOT, _S_QUAD, _SR,
- _RR, _R_TOT, _REST_QUAD, _R_U, _U_S, _U_R, _SUF_FROB, _SUF_Q2) = range(16)
-_SIDE_ROWS = _SweepTerms(_SS, _X_QUAD, _RR, _SUF_FROB, _SR, _X_TOT,
-                         _S_QUAD, _S_TOT, _REST_QUAD, _R_TOT)
+# The rows of a chunk of :func:`_side_sums`: x_t's row-wise terms, the
+# first six of which become running sums, then s_t's, six rows apart from
+# x_t's where the two share a product, and the ten sums made of them in place.
+(_Q, _X_TOT, _X_QUAD, _QQ, _Q_XC, _XC, _SS, _S_TOT, _S_QUAD, _S_U, _S_C, _S_ANC,
+ _U_S, _S_ATC, _SUF_FROB, _SUF_Q2) = range(16)
+_SIDE_ROWS = _SweepTerms(_SS, _X_QUAD, _Q_XC, _SUF_FROB, _S_C, _X_TOT,
+                         _S_QUAD, _S_TOT, _S_ATC, _S_ANC)
 
 
 def _side_sums(x: np.ndarray, tot: _Totals):
@@ -329,32 +337,36 @@ def _side_sums(x: np.ndarray, tot: _Totals):
     entry 0 is the split after no rows.  The prefix sums are polynomials in
     its moments s_t, A_t, u_t and ||A_t||_F^2, e.g. pre2 = ||A_t||_F^2 -
     sum q_i^2 and pre_cc = s_t' A_t s_t - 2 u_t . s_t + sum q_i^2; the
-    suffix sums are the totals minus the prefix's, with r_t = s_n - s_t
-    for the suffix's row sum.
+    suffix sums are the totals minus the prefix's, with r_t = c - s_t for
+    the suffix's row sum, c = s_n.  Every r_t term is expanded in s_t and
+    c, e.g. r' A r = s' A s - 2 s . A c + c' A c, so that no r_t is formed.
 
     Yields (k, acc) per chunk of :func:`_chunk_rows` rows, with column j of
     acc at entry k + j for the entries of the chunk's rows; the first chunk
     leads with entry 0.  acc has 16 rows, and _SIDE_ROWS names the sums'
     rows among them; the next chunk overwrites it.  Each block of
-    b = _FEATURE_BLOCK rows forms its x_t, s_t and r_t and reads off them,
-    per row, q_t, s.s, r.r, s.r; v' A_n v for v = x_t, s_t, r_t; r . u_n;
-    v' A_t v (A_{t-1} for x_t); u_t . s_t and u_t . r_t.  The chunk's
-    formulas then turn these into the sums in place.  A_t, u_t, s_t and
-    the running sums go on from chunk to chunk: O(b p + b^2 + p^2) working
-    memory beside one chunk's sums.
+    b = _FEATURE_BLOCK rows stacks its x_t and s_t and reads off them, per
+    row, q_t, s.s, v' A_n v for v = x_t, s_t, x.c, s.u_n, s.c, s.A_n c
+    (one product with the columns [A_n | u_n | c | A_n c]), v' A_t v
+    (A_{t-1} for x_t), u_t . s_t and s . A_t c (one product with the
+    running [A_t | u_t | A_t c]).  The running sums of q_t, x' A_n x,
+    ||A_t||_F^2, q_t^2, q_t x.c and (x.c)^2 give the rest, among them
+    u_t . c and c' A_t c; the chunk's formulas then turn these into the
+    sums in place.  A_t, u_t, s_t and the running sums go on from chunk to
+    chunk: O(b p + b^2 + p^2) working memory beside one chunk's sums.
     """
     m, p = x.shape
     width = min(_FEATURE_BLOCK, m)
     masks = _feature_masks(width)
-    buf = np.empty((3 * width, p))          # x_t, s_t and r_t of a block
+    c = tot.s
+    cc, c_u, c_ac = c @ c, c @ tot.au[:, p], c @ tot.au[:, p + 2]
+    buf = np.empty((2 * width, p))          # x_t and s_t of a block
     # Also holds x_b' x_b, which would otherwise be a p x p temporary.
-    work = np.empty(max(3 * width * max(p + 1, width), p * p))
-    a = np.zeros((p, p))                    # A_t and u_t at the start of the block
-    u = np.zeros(p)
+    work = np.empty(max(2 * width * max(p + 3, width), p * p))
+    a = np.zeros((p, p + 2))                # [A_t | u_t | A_t c] at the start of the block
     s_end = np.zeros(p)                     # s_t at the end of the last block
-    # The running sums at the entry before the chunk: sum q, sum x_t' A_n x_t,
-    # ||A_t||^2 and sum q^2.
-    carry = np.zeros(4)
+    # The running sums at the entry before the chunk, those of rows _Q .. _XC.
+    carry = np.zeros(6)
     rows = min(_chunk_rows(m), m)
     chunk = np.zeros((16, rows + 1))
     for c0 in range(0, m, rows):
@@ -365,9 +377,9 @@ def _side_sums(x: np.ndarray, tot: _Totals):
             hi = min(lo + _FEATURE_BLOCK, c1)
             b = hi - lo
             out = slice(lo + 1 - k, hi + 1 - k)     # the prefixes that end in the block
-            flat = buf[: 3 * b]
-            v = flat.reshape(3, b, p)
-            xb, sb, rb = v
+            flat = buf[: 2 * b]
+            v = flat.reshape(2, b, p)
+            xb, sb = v
             # Copied, then centered: subtracting a reversed block straight into
             # xb would buffer both operands.
             xb[...] = x[lo:hi]
@@ -376,66 +388,82 @@ def _side_sums(x: np.ndarray, tot: _Totals):
             sb[...] = xb
             sb[0] += s_end
             np.cumsum(sb, axis=0, out=sb)
-            np.subtract(tot.s, sb, out=rb)
-            np.einsum("kti,kti->kt", v, v, out=acc[_Q:_R_U:4, out])
-            np.einsum("ti,ti->t", sb, rb, out=acc[_SR, out])
-            prod = np.matmul(flat, tot.au, out=work[: 3 * b * (p + 1)].reshape(3 * b, p + 1))
-            np.einsum("kti,kti->kt", prod[:, :p].reshape(3, b, p), v, out=acc[_X_TOT:_R_U:4, out])
-            acc[_R_U, out] = prod[2 * b :, p]
-            # v' A_t v and v . u_t with A_t and u_t at the start of the block; the
-            # block's rows j < t (for x_t) or j <= t (for s_t and r_t) add
-            # (v . x_j)^2 and q_j v . x_j.
-            prod = np.matmul(flat, a, out=work[: 3 * b * p].reshape(3 * b, p))
-            quad = acc[_X_QUAD:_R_U:4, out]
-            np.einsum("kti,kti->kt", prod.reshape(3, b, p), v, out=quad)
-            acc[_U_S : _U_R + 1, out] = (flat[b:] @ u).reshape(2, b)
-            vx = np.matmul(flat, xb.T, out=work[: 3 * b * b].reshape(3 * b, b)).reshape(3, b, b)
-            qb = acc[_Q, out]
-            acc[_U_S : _U_R + 1, out] += np.einsum("kti,ti,i->kt", vx[1:], masks[1, :b, :b], qb)
-            quad += np.einsum("kti,kti,kti->kt", vx, vx, masks[:, :b, :b])
-            a += np.matmul(xb.T, xb, out=work[: p * p].reshape(p, p))
-            u += qb @ xb
+            np.einsum("kti,kti->kt", v, v, out=acc[_Q : _SS + 1 : _SS, out])
+            prod = np.matmul(flat, tot.au, out=work[: 2 * b * (p + 3)].reshape(2 * b, p + 3))
+            np.einsum("kti,kti->kt", prod[:, :p].reshape(2, b, p), v,
+                      out=acc[_X_TOT : _S_TOT + 1 : _SS, out])
+            acc[_XC, out] = prod[:b, p + 1]
+            acc[_S_U : _S_ANC + 1, out] = prod[b:, p:].T
+            # v' A_t v, s . u_t and s . A_t c with A_t and u_t at the start of
+            # the block; the block's rows j < t (for x_t) or j <= t (for s_t)
+            # add (v . x_j)^2, q_j s . x_j and (x_j . c) s . x_j.
+            prod = np.matmul(flat, a, out=work[: 2 * b * (p + 2)].reshape(2 * b, p + 2))
+            quad = acc[_X_QUAD : _S_QUAD + 1 : _SS, out]
+            np.einsum("kti,kti->kt", prod[:, :p].reshape(2, b, p), v, out=quad)
+            acc[_U_S : _S_ATC + 1, out] = prod[b:, p:].T
+            vx = np.matmul(flat, xb.T, out=work[: 2 * b * b].reshape(2 * b, b)).reshape(2, b, b)
+            vx *= masks[:, :b, :b]
+            quad += np.einsum("kti,kti->kt", vx, vx)
+            weights = acc[_Q : _XC + 1 : _XC, out]      # q_j and x_j . c
+            acc[_U_S : _S_ATC + 1, out] += weights @ vx[1].T
+            a[:, :p] += np.matmul(xb.T, xb, out=work[: p * p].reshape(p, p))
+            a[:, p:] += (weights @ xb).T
             s_end[...] = sb[-1]
 
-        (q, x_tot, x_quad, qq, ss, s_tot, s_quad, sr, rr, r_tot, rest_quad, r_u, u_s, u_r,
+        (q, x_tot, x_quad, qq, q_xc, xc, ss, s_tot, s_quad, s_u, s_c, s_anc, u_s, s_atc,
          suf_frob, suf_q2) = acc
         np.square(q, out=qq)
         # ||A_t||^2 - ||A_{t-1}||^2 = 2 x_t' A_{t-1} x_t + q_t^2: nonnegative steps.
         x_quad *= 2.0
         x_quad += qq
+        np.multiply(q, xc, out=q_xc)
+        np.square(xc, out=xc)
         # Each running sum goes on from the last chunk's: adding its last
         # entry to this chunk's first makes the adds of one cumsum.
-        run = acc[_Q : _QQ + 1]
+        run = acc[_Q : _XC + 1]
         run[:, 0] += carry
         np.cumsum(run, axis=1, out=run)
         carry[...] = run[:, -1]
-        q1, cross2, frob, q2 = run
+        q1, cross2, frob, q2, u_c, c_quad = run     # u_c = u_t . c, c_quad = c' A_t c
         cross2 -= frob
         # The suffix's ||B_t||_F^2: all pairs, minus the prefix's and the crossing ones.
         np.subtract(tot.frob, frob, out=suf_frob)
         suf_frob -= 2.0 * cross2
         np.subtract(tot.q2, q2, out=suf_q2)
         # Each row below becomes the sum _SIDE_ROWS names it by; a row is
-        # overwritten only after its last read.
-        pre1 = ss
-        pre1 -= q1
-        suf1 = rr
-        suf1 -= np.subtract(tot.q1, q1, out=q1)
+        # overwritten only after its last read.  r = c - s throughout.
+        cross_ss = s_atc                # r' A_t r
+        cross_ss *= -2.0
+        cross_ss += s_quad
+        cross_ss += c_quad
+        suf_ss = s_anc                  # r' A_n r, then less the rest
+        suf_ss *= -2.0
+        suf_ss += s_tot
+        suf_ss += c_ac
+        suf_ss -= cross_ss
         cross_cc = s_tot
         cross_cc -= s_quad
+        u_r = s_u                       # u_t . r - r . u_n
+        u_r -= u_s
+        u_r += u_c
+        u_r -= c_u
+        suf_ss += 2.0 * u_r
+        suf_ss += suf_q2
         pre_cc = s_quad
         pre_cc -= 2.0 * u_s
         pre_cc += q2
         pre2 = frob
         pre2 -= q2
-        # cross_ss is rest_quad as it stands.
-        suf_ss = r_tot
-        suf_ss -= rest_quad
-        r_u -= u_r
-        suf_ss -= 2.0 * r_u
-        suf_ss += suf_q2
         suf2 = suf_frob
         suf2 -= suf_q2
+        suf1 = np.multiply(s_c, -2.0, out=u_c)      # r . r
+        suf1 += ss
+        suf1 += cc
+        cross1 = s_c                    # s . r
+        cross1 -= ss
+        pre1 = ss
+        pre1 -= q1
+        suf1 -= np.subtract(tot.q1, q1, out=q1)
         yield k, acc
 
 

@@ -154,15 +154,21 @@ def _heterogeneous(kind, n, p, rng):
         x = np.cumsum(x, axis=0)
     elif kind == "geometric_scale":
         x *= np.geomspace(1.0, 1e4, n)[:, None]
+    elif kind == "offset_1e8":
+        x += 1e8
     return x
 
 
-@pytest.mark.parametrize("n", [400, 401])
+@pytest.mark.parametrize("n", [400, 401, 600, 601])
 @pytest.mark.parametrize(
-    "kind", ["quarter_x1000", "column_per_half", "random_walk", "geometric_scale"]
+    "kind", ["quarter_x1000", "column_per_half", "random_walk", "geometric_scale", "offset_1e8"]
 )
 def test_feature_path_accuracy_on_heterogeneous_rows(kind, n):
-    # The longer side of each split is the totals minus the shorter side.
+    # The longer side of each split is the totals minus the shorter side,
+    # and each term of the suffix's row sum r_t = s_n - s_t is expanded in
+    # s_t and s_n.  At n = 600 and 601 each pass has two chunks and a
+    # ragged last block; with even n the reversed pass, which fills the
+    # mirrored rows of the sums, is one row shorter than the forward one.
     p = 20
     x = _heterogeneous(kind, n, p, np.random.default_rng(308))
     xl = x.astype(np.longdouble)

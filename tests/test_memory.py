@@ -223,6 +223,14 @@ def test_detect_on_a_long_series_holds_one_chunk_of_sums(monkeypatch):
     assert warm_detect_peak(x, monkeypatch) < 1.45 * x.nbytes
 
 
+def test_detect_on_a_long_series_stacks_two_rows_per_block(monkeypatch):
+    # 2000 x 50: the feature blocks stack x_t and s_t, 2 x 64 x 50, and
+    # expand every r_t = s_n - s_t term; a third stacked row, r_t, and its
+    # products took the peak to 1.40x.
+    x = np.random.default_rng(2).standard_normal((2000, 50))
+    assert warm_detect_peak(x, monkeypatch) < 1.38 * x.nbytes
+
+
 def test_detect_on_a_very_long_series_stays_below_21_mb(monkeypatch):
     # 10^5 x 20, 16 MB of data: one pass's sums and the pair rows took the
     # peak to 28 MB.

@@ -1,4 +1,4 @@
-"""tools/peak_probe.py: the traced peaks of a fresh detect and of localize after it, with no analysis kept."""
+"""tools/peak_probe.py: the peaks of a fresh detect and of localize after it, and a fresh detect's time."""
 
 import importlib.util
 from pathlib import Path
@@ -26,4 +26,20 @@ def test_localize_peak_is_the_profile_step_and_keeps_nothing():
     peak = peak_probe.localize_peak(x)
     # localize reuses detect's analysis, so it copies nothing of the data.
     assert 0 < peak < x.nbytes
+    assert pipeline._last_seen is None
+
+
+def test_fresh_detect_seconds_analyses_afresh_and_keeps_nothing(monkeypatch):
+    x = np.random.default_rng(0).standard_normal((400, 20))
+    calls = []
+    detect = peak_probe.detect
+
+    def counting(data):
+        calls.append(pipeline._last_seen)
+        return detect(data)
+
+    monkeypatch.setattr(peak_probe, "detect", counting)
+    assert peak_probe.fresh_detect_seconds(x, runs=3) > 0.0
+    # No call finds an analysis kept from the one before it.
+    assert calls == [None, None, None]
     assert pipeline._last_seen is None

@@ -10,7 +10,10 @@ bits; integers and booleans stay JSON numbers and booleans.
 
 The inputs are AR(1)-correlated Gaussian rows with a joint change at n/2
 (a mean shift and a covariance scale): the three benchmark shapes 200x100,
-2000x50 and 200x5000, the same arrays plus 50, and 60x8 and 16x16.  On
+2000x50 and 200x5000, the same arrays plus 50, 60x8 and 16x16, and two
+more arrays on the feature path (n >= 4p): 2001x50, whose odd n makes
+the reversed pass as long as the forward one where at 2000x50 it is one
+row shorter, and 10^4x5, whose passes run sixteen chunks each.  On
 each the dump records ``detect`` under both calibrations, ``localize``
 with its profile, ``baselines``, ``mean_stat_curve`` and
 ``cov_stat_curve``.  It also records ``run_experiment`` on an AR(1)
@@ -47,6 +50,7 @@ import numpy as np
 RTOL = 1e-9
 BENCHMARK_SHAPES = ((200, 100), (2000, 50), (200, 5000))
 SMALL_SHAPES = ((60, 8), (16, 16))
+FEATURE_SHAPES = ((2001, 50), (10_000, 5))
 OFFSET = 50.0
 AR_CORR = 0.3
 MEAN_SHIFT = 0.25
@@ -74,7 +78,7 @@ def inputs() -> dict[str, np.ndarray]:
         x = joint_change(n, p, seed=n + p)
         out[f"{n}x{p}"] = x
         out[f"{n}x{p}+{OFFSET:g}"] = x + OFFSET
-    for n, p in SMALL_SHAPES:
+    for n, p in SMALL_SHAPES + FEATURE_SHAPES:
         out[f"{n}x{p}"] = joint_change(n, p, seed=n + p)
     return out
 
